@@ -25,8 +25,8 @@ use scalia_providers::backend::ObjectStore;
 use scalia_providers::catalog::{s3_high, ProviderCatalog};
 use scalia_providers::latency::LatencyModel;
 use scalia_types::ids::ProviderId;
-use scalia_types::object::StripingMeta;
-use scalia_types::size::ByteSize;
+use scalia_types::md5::md5_hex;
+use scalia_types::object::StripeMeta;
 use scalia_types::time::Duration;
 use std::sync::Arc;
 
@@ -68,16 +68,36 @@ fn sequential_put(infra: &Infrastructure, placement: &Placement, skey: &str, dat
     }
 }
 
+/// The parallel write path: encode, then upload every chunk at once.
+fn parallel_put(
+    infra: &Infrastructure,
+    placement: &Placement,
+    skey: &str,
+    data: &Bytes,
+) -> StripeMeta {
+    let encoded = encode_object(data, placement.erasure_params()).unwrap();
+    let chunks =
+        chunk_io::upload_encoded(infra, placement, skey, &encoded, &HedgeConfig::default())
+            .unwrap();
+    StripeMeta {
+        chunks,
+        m: placement.m,
+        len: data.len() as u64,
+        checksum: md5_hex(data),
+        skey: skey.to_string(),
+    }
+}
+
 /// The pre-chunk-I/O read path: fetch the first m chunks one at a time.
-fn sequential_get(infra: &Infrastructure, striping: &StripingMeta) {
-    let m = striping.m as usize;
+fn sequential_get(infra: &Infrastructure, stripe: &StripeMeta) {
+    let m = stripe.m as usize;
     let mut fetched = 0;
-    for location in &striping.chunks {
+    for location in &stripe.chunks {
         if fetched >= m {
             break;
         }
         let backend = infra.backend(location.provider).unwrap();
-        if backend.get(&striping.chunk_key(location.index)).is_ok() {
+        if backend.get(&stripe.chunk_key(location.index)).is_ok() {
             fetched += 1;
         }
     }
@@ -86,7 +106,6 @@ fn sequential_get(infra: &Infrastructure, striping: &StripingMeta) {
 
 fn bench_chunk_io(c: &mut Criterion) {
     let payload = Bytes::from(vec![7u8; 64 * 1024]);
-    let size = ByteSize::from_bytes(payload.len() as u64);
 
     for (m, n) in [(3u32, 5usize), (6, 9)] {
         let mut group = c.benchmark_group(&format!("chunk_io/{m}of{n}"));
@@ -109,10 +128,7 @@ fn bench_chunk_io(c: &mut Criterion) {
             let mut i = 0u64;
             b.iter(|| {
                 i += 1;
-                pool.install(|| {
-                    chunk_io::write_chunks(&infra, &placement, &format!("par-{i}"), &payload)
-                        .unwrap()
-                });
+                pool.install(|| parallel_put(&infra, &placement, &format!("par-{i}"), &payload));
             })
         });
 
@@ -120,18 +136,17 @@ fn bench_chunk_io(c: &mut Criterion) {
         group.bench_function("get_sequential", |b| {
             let infra = infra_with(n);
             let placement = placement_of(&infra, m);
-            let striping = chunk_io::write_chunks(&infra, &placement, "get-seq", &payload).unwrap();
+            let striping = parallel_put(&infra, &placement, "get-seq", &payload);
             b.iter(|| sequential_get(&infra, &striping))
         });
         group.bench_function("get_hedged_4workers", |b| {
             let infra = infra_with(n);
             let placement = placement_of(&infra, m);
-            let striping = chunk_io::write_chunks(&infra, &placement, "get-par", &payload).unwrap();
+            let striping = parallel_put(&infra, &placement, "get-par", &payload);
             let pool = rayon::ThreadPool::new(4);
             b.iter(|| {
                 pool.install(|| {
-                    chunk_io::fetch_chunks(&infra, &striping, size, &HedgeConfig::default())
-                        .unwrap()
+                    chunk_io::fetch_chunks(&infra, &striping, &HedgeConfig::default()).unwrap()
                 })
             })
         });
@@ -166,40 +181,45 @@ fn bench_chunk_io(c: &mut Criterion) {
             backend.set_real_sleep(true);
         }
         infra
+    };
+    // The stall starts once the object is written: a 100 ms PUT would blow
+    // the upload hedge deadline and fail the write being set up.
+    let stall_slow_cheap = |infra: &Infrastructure| {
+        infra
             .backend(ProviderId::new(0))
             .unwrap()
-            .set_stall_us(100_000);
-        infra
+            .set_stall_us(100_000)
     };
     group.bench_function("get_before_adaptation_slow_ranked_first", |b| {
         let infra = adaptation_infra();
         let placement = placement_of(&infra, 1);
-        let striping = chunk_io::write_chunks(&infra, &placement, "adapt-cold", &payload).unwrap();
+        let striping = parallel_put(&infra, &placement, "adapt-cold", &payload);
+        stall_slow_cheap(&infra);
         let pool = rayon::ThreadPool::new(16);
         // No observations ever (fixed-deadline baseline): the price
         // ranking contacts the stalled provider first on every read.
         b.iter(|| {
             pool.install(|| {
-                chunk_io::fetch_chunks(&infra, &striping, size, &HedgeConfig::fixed_deadline())
-                    .unwrap()
+                chunk_io::fetch_chunks(&infra, &striping, &HedgeConfig::fixed_deadline()).unwrap()
             })
         })
     });
     group.bench_function("get_after_adaptation_fast_ranked_first", |b| {
         let infra = adaptation_infra();
         let placement = placement_of(&infra, 1);
-        let striping = chunk_io::write_chunks(&infra, &placement, "adapt-warm", &payload).unwrap();
+        let striping = parallel_put(&infra, &placement, "adapt-warm", &payload);
+        stall_slow_cheap(&infra);
         let pool = rayon::ThreadPool::new(16);
         // Warm the observed windows past the sample floor, so ranking and
         // deadlines run on observations.
         pool.install(|| {
             for _ in 0..20 {
-                chunk_io::fetch_chunks(&infra, &striping, size, &HedgeConfig::default()).unwrap();
+                chunk_io::fetch_chunks(&infra, &striping, &HedgeConfig::default()).unwrap();
             }
         });
         b.iter(|| {
             pool.install(|| {
-                chunk_io::fetch_chunks(&infra, &striping, size, &HedgeConfig::default()).unwrap()
+                chunk_io::fetch_chunks(&infra, &striping, &HedgeConfig::default()).unwrap()
             })
         })
     });
@@ -216,14 +236,14 @@ fn bench_chunk_io(c: &mut Criterion) {
     group.bench_function("get_hedged_one_provider_stalled_100ms", |b| {
         let infra = infra_with(5);
         let placement = placement_of(&infra, 3);
-        let striping = chunk_io::write_chunks(&infra, &placement, "stall", &payload).unwrap();
+        let striping = parallel_put(&infra, &placement, "stall", &payload);
         // Stall the first chunk holder (a member of the ranked set).
         let stalled = striping.chunks[0].provider;
         infra.backend(stalled).unwrap().set_stall_us(100_000);
         let pool = rayon::ThreadPool::new(16);
         b.iter(|| {
             pool.install(|| {
-                chunk_io::fetch_chunks(&infra, &striping, size, &HedgeConfig::default()).unwrap()
+                chunk_io::fetch_chunks(&infra, &striping, &HedgeConfig::default()).unwrap()
             })
         })
     });

@@ -15,7 +15,7 @@
 //!
 //! The ≥ 2×-at-4-workers pool-scaling gate is only asserted when the
 //! runner actually exposes ≥ 4 hardware threads; on smaller runners the
-//! JSON records `"gate": "skipped (single-core runner)"` and the numbers
+//! JSON records `"gate": "skipped (fewer than 4 hardware threads)"` and the numbers
 //! so a multi-core acceptance run is a re-run, not a code change
 //! (`available_parallelism` is always recorded).
 
@@ -309,7 +309,9 @@ fn pool_scaling_section() -> serde_json::Value {
             );
             "pass".to_string()
         } else {
-            format!("skipped (single-core runner: available_parallelism = {parallelism})")
+            format!(
+                "skipped (fewer than 4 hardware threads: available_parallelism = {parallelism})"
+            )
         };
         workloads.push(serde_json::json!({
             "workload": name,

@@ -122,7 +122,11 @@ fn bench_degrade_backfill(c: &mut Criterion, n: usize) {
                 let meta = cluster
                     .put(&key, payload(i), "application/x-tar", wide_rule(), None)
                     .unwrap();
-                assert_eq!(meta.striping.chunks.len(), 4, "must land degraded");
+                assert_eq!(
+                    meta.striping.stripes[0].chunks.len(),
+                    4,
+                    "must land degraded"
+                );
             }
             infra.set_provider_down(victim, false);
             let report = drain_repair_queue(

@@ -89,12 +89,7 @@ fn acceptance_baseline() {
 
     let meta = cluster.engine(0).read_metadata(&key).unwrap();
     let stripes = meta.striping.stripe_count();
-    let width = meta
-        .striping
-        .stripes
-        .as_ref()
-        .map(|m| m.stripes[0].chunks.len() as u64)
-        .unwrap_or(meta.striping.chunks.len() as u64);
+    let width = meta.striping.stripes[0].chunks.len() as u64;
 
     // 1 KiB range read, cold: only the covering stripe's chunks move.
     clear_caches(&cluster);

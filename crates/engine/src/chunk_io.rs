@@ -6,16 +6,19 @@
 //! a put summed `n` round-trips, a get summed `m`, and no scenario could
 //! observe a slow provider at all. All four call sites (write, read, delete
 //! and the repair/migration path through
-//! [`crate::engine::Engine::replace_placement`]) now route through this
+//! [`crate::engine::Engine::replace_placement`]) route through this
 //! module, which fans transfers out over the work-stealing pool:
 //!
-//! * [`write_chunks`] — **parallel upload**, one task per chunk, with
-//!   abort-on-first-hard-failure: the first provider error flips an abort
-//!   flag (uploads not yet started are skipped), every chunk that did land
-//!   is rolled back (deleted, or queued as a postponed delete if the
-//!   provider is unreachable), and the failing provider is reported to the
-//!   failure detector and returned to the caller so the write can be
-//!   re-placed on the remaining providers.
+//! * [`upload_encoded`] — **parallel upload** of one encoded stripe, one
+//!   task per chunk, with abort-on-first-hard-failure: the first provider
+//!   error flips an abort flag (uploads not yet started are skipped), every
+//!   chunk that did land is rolled back (deleted, or queued as a postponed
+//!   delete if the provider is unreachable), and the failing provider is
+//!   reported to the failure detector and returned to the caller so the
+//!   stripe can be re-placed on the remaining providers. The upload takes
+//!   an already-encoded stripe, so the write pipeline
+//!   ([`crate::streaming`]) can encode stripe k+1 while stripe k is in
+//!   flight.
 //! * [`fetch_chunks`] — **hedged first-`m`-of-`n` read**: the best `m`
 //!   providers are raced concurrently — ranked by expected read latency
 //!   (the *observed* summary once enough samples exist, the advertised
@@ -30,23 +33,16 @@
 //!   and simply finds its result unneeded. Every outcome feeds the failure
 //!   detector (§III-D3) and every success feeds the provider's
 //!   observed-latency window, closing the adaptation loop.
-//! * [`write_chunks_tolerant`] — the **degraded-capable upload**: every
-//!   chunk is attempted (no abort-on-first-failure) and the write survives
+//! * [`upload_encoded_tolerant`] — the **degraded-capable upload**: every
+//!   chunk is attempted (no abort-on-first-failure) and the stripe survives
 //!   with any `k ≥ m` of its `n` chunks; the failed providers come back to
 //!   the caller, which decides whether the surviving subset clears the
-//!   rule's availability floor (the degraded-write fallback of the engine's
-//!   put path).
+//!   rule's availability floor (the degraded landing of the write ladder).
 //! * [`delete_chunks`] — **parallel delete** with the postponed-delete
 //!   semantics for unreachable providers.
-//! * [`upload_encoded`] / [`upload_encoded_tolerant`] / [`fetch_stripe`] /
-//!   [`fetch_range`] — the **stripe-granular face** of the same machinery,
-//!   used by the staged streaming pipeline
-//!   ([`crate::streaming`]): an upload takes an already-encoded stripe (so
-//!   the pipeline can encode stripe k+1 while stripe k is in flight) and a
-//!   per-stripe chunk-key salt, and a range read decodes only the byte
-//!   window it needs from the hedged `m`-of-`n` fetch of a single stripe —
-//!   the rollback, postponed-delete and failure-detector semantics above
-//!   apply per stripe, unchanged.
+//! * [`fetch_and_reassemble`] / [`fetch_stripe`] / [`fetch_range`] — reads
+//!   stripe by stripe: a range read fetches only the covering stripes and
+//!   decodes only the byte window it needs from each.
 //!
 //! # Virtual time, real time
 //!
@@ -70,15 +66,13 @@ use bytes::Bytes;
 use rayon::prelude::*;
 use scalia_core::cost::{cheapest_read_providers, chunk_bytes_for};
 use scalia_core::placement::Placement;
-use scalia_erasure::codec::{
-    decode_object, decode_object_range, encode_object, Chunk, EncodedObject,
-};
+use scalia_erasure::codec::{decode_object, decode_object_range, Chunk, EncodedObject};
 use scalia_providers::backend::StoreOp;
 use scalia_providers::descriptor::ProviderDescriptor;
 use scalia_providers::latency::LatencyModel;
 use scalia_types::error::{Result, ScaliaError};
 use scalia_types::ids::ProviderId;
-use scalia_types::object::{ChunkLocation, ObjectMeta, StripingMeta};
+use scalia_types::object::{ChunkLocation, ObjectMeta, StripeMeta, StripingMeta};
 use scalia_types::size::ByteSize;
 use scalia_types::ErasureParams;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -229,54 +223,23 @@ enum UploadOutcome {
     Aborted,
 }
 
-/// Encodes `data` for `placement` and uploads one chunk per provider, all
-/// in parallel on the pool, under the default upload-hedge policy. See
-/// [`write_chunks_with`].
-pub fn write_chunks(
-    infra: &Infrastructure,
-    placement: &Placement,
-    skey: &str,
-    data: &Bytes,
-) -> std::result::Result<StripingMeta, WriteFailure> {
-    write_chunks_with(infra, placement, skey, data, &HedgeConfig::default())
-}
-
-/// Encodes `data` for `placement` and uploads one chunk per provider, all
-/// in parallel on the pool. On the first hard failure the remaining uploads
-/// are aborted, every chunk that already landed is deleted again (or queued
-/// as a postponed delete), and the failing provider is reported to the
-/// failure detector and returned in the [`WriteFailure`]. An upload
-/// exceeding its hedge deadline ([`write_hedge_deadline_us`] — the observed
-/// PUT p95 once warm, a modelled multiple until then) counts as a failure
-/// of its provider: the landed chunk is rolled back so the caller can
-/// re-place the write without the straggler.
-pub fn write_chunks_with(
-    infra: &Infrastructure,
-    placement: &Placement,
-    skey: &str,
-    data: &Bytes,
-    config: &HedgeConfig,
-) -> std::result::Result<StripingMeta, WriteFailure> {
-    let params = placement.erasure_params();
-    let encoded = encode_object(data, params).map_err(|error| WriteFailure {
-        provider: None,
-        error,
-    })?;
-    upload_encoded(infra, placement, skey, &encoded, config)
-}
-
-/// Uploads an already-encoded object's chunks, one per provider of
-/// `placement`, in parallel with abort-on-first-failure and rollback —
-/// the upload half of [`write_chunks_with`], split out so the streaming
-/// pipeline can encode stripe `k+1` while stripe `k`'s chunks are in
-/// flight.
+/// Uploads an encoded stripe's chunks under `skey`, one per provider of
+/// `placement`, all in parallel on the pool, and returns where they landed.
+/// On the first hard failure the remaining uploads are aborted, every chunk
+/// that already landed is deleted again (or queued as a postponed delete),
+/// and the failing provider is reported to the failure detector and
+/// returned in the [`WriteFailure`]. An upload exceeding its hedge deadline
+/// ([`write_hedge_deadline_us`] — the observed PUT p95 once warm, a
+/// modelled multiple until then) counts as a failure of its provider: the
+/// landed chunk is rolled back so the caller can re-place the stripe
+/// without the straggler.
 pub fn upload_encoded(
     infra: &Infrastructure,
     placement: &Placement,
     skey: &str,
     encoded: &EncodedObject,
     config: &HedgeConfig,
-) -> std::result::Result<StripingMeta, WriteFailure> {
+) -> std::result::Result<Vec<ChunkLocation>, WriteFailure> {
     let jobs: Vec<(&Chunk, &ProviderDescriptor)> = encoded
         .chunks
         .iter()
@@ -330,11 +293,7 @@ pub fn upload_encoded(
     // The put's virtual makespan is the slowest chunk upload — the critical
     // path of the fan-out, not the sum of the round-trips.
     infra.record_io_latency(StoreOp::Put, makespan_us);
-    Ok(StripingMeta::single(
-        locations,
-        placement.m,
-        skey.to_string(),
-    ))
+    Ok(locations)
 }
 
 fn upload_one(
@@ -419,44 +378,26 @@ fn upload_one(
 // Tolerant (degraded-capable) upload
 // ---------------------------------------------------------------------------
 
-/// A tolerant parallel upload's outcome: the striping over every chunk that
-/// landed (original erasure indices preserved) plus the providers whose
-/// chunk did not.
+/// A tolerant parallel upload's outcome: every chunk that landed (original
+/// erasure indices preserved) plus the providers whose chunk did not.
 #[derive(Debug)]
 pub struct PartialWrite {
-    /// Striping over the surviving chunks only. Degraded iff
-    /// `striping.chunks.len()` is below the placement width.
-    pub striping: StripingMeta,
+    /// The surviving chunks only. Degraded iff fewer than the placement
+    /// width.
+    pub chunks: Vec<ChunkLocation>,
     /// Providers whose chunk did not land, with the error each produced.
     pub failed: Vec<(ProviderId, ScaliaError)>,
 }
 
-/// Encodes `data` for `placement` and uploads one chunk per provider in
-/// parallel **without** abort-on-first-failure: every upload is attempted
-/// and the write survives as long as at least `m` chunks land. This is the
-/// degraded-write fallback of [`crate::engine::Engine::put`] — once
-/// re-placement is exhausted, the caller checks the surviving subset
-/// against the rule's availability floor and, if it passes, commits the
-/// partial striping with a durability debt for the repair queue to
-/// backfill. If fewer than `m` chunks land, the landed ones are rolled back
-/// and the first failure is returned, exactly like [`write_chunks_with`].
-pub fn write_chunks_tolerant(
-    infra: &Infrastructure,
-    placement: &Placement,
-    skey: &str,
-    data: &Bytes,
-    config: &HedgeConfig,
-) -> std::result::Result<PartialWrite, WriteFailure> {
-    let params = placement.erasure_params();
-    let encoded = encode_object(data, params).map_err(|error| WriteFailure {
-        provider: None,
-        error,
-    })?;
-    upload_encoded_tolerant(infra, placement, skey, &encoded, config)
-}
-
-/// The upload half of [`write_chunks_tolerant`] for an already-encoded
-/// object — the streaming pipeline's degraded-landing fallback per stripe.
+/// Uploads an encoded stripe's chunks in parallel **without**
+/// abort-on-first-failure: every upload is attempted and the stripe
+/// survives as long as at least `m` chunks land. This is the degraded
+/// landing of the write ladder ([`crate::streaming`]) — once re-placement
+/// is exhausted, the caller checks the surviving subset against the rule's
+/// availability floor and, if it passes, commits the partial stripe with a
+/// durability debt for the repair queue to backfill. If fewer than `m`
+/// chunks land, the landed ones are rolled back and the first failure is
+/// returned, exactly like [`upload_encoded`].
 pub fn upload_encoded_tolerant(
     infra: &Infrastructure,
     placement: &Placement,
@@ -514,7 +455,7 @@ pub fn upload_encoded_tolerant(
 
     infra.record_io_latency(StoreOp::Put, makespan_us);
     Ok(PartialWrite {
-        striping: StripingMeta::single(locations, placement.m, skey.to_string()),
+        chunks: locations,
         failed,
     })
 }
@@ -523,12 +464,15 @@ pub fn upload_encoded_tolerant(
 // Parallel delete
 // ---------------------------------------------------------------------------
 
-/// Deletes every chunk of a striping in parallel, postponing chunks whose
-/// provider is unreachable ("the deletion of the chunk residing at a faulty
-/// provider is postponed until the provider recovers", §III-D3). Striped
-/// objects delete every stripe's chunks in one parallel fan-out.
-pub fn delete_chunks(infra: &Infrastructure, striping: &StripingMeta) {
-    let refs = striping.all_chunk_refs();
+/// Deletes every chunk of `stripes` in one parallel fan-out, postponing
+/// chunks whose provider is unreachable ("the deletion of the chunk
+/// residing at a faulty provider is postponed until the provider
+/// recovers", §III-D3).
+pub fn delete_chunks(infra: &Infrastructure, stripes: &[StripeMeta]) {
+    let refs: Vec<(ProviderId, String)> = stripes
+        .iter()
+        .flat_map(|s| s.chunks.iter().map(|c| (c.provider, s.chunk_key(c.index))))
+        .collect();
     if refs.is_empty() {
         return;
     }
@@ -629,7 +573,7 @@ struct Candidate {
 
 struct HedgedRead<'a> {
     infra: &'a Arc<Infrastructure>,
-    striping: &'a StripingMeta,
+    stripe: &'a StripeMeta,
     config: &'a HedgeConfig,
     chunk_bytes: u64,
     /// Chunk locations and their latency models, cheapest-read first.
@@ -680,7 +624,7 @@ impl<'a> HedgedRead<'a> {
                 hedged: false,
                 done: false,
             });
-            let chunk_key = self.striping.chunk_key(candidate.location.index);
+            let chunk_key = self.stripe.chunk_key(candidate.location.index);
             let board = self.board.clone();
             let infra = Arc::clone(self.infra);
             rayon::spawn(move || {
@@ -870,17 +814,17 @@ impl<'a> HedgedRead<'a> {
     }
 }
 
-/// Fetches any `m` of the striping's `n` chunks with a hedged race over the
+/// Fetches any `m` of a stripe's `n` chunks with a hedged race over the
 /// cheapest providers (see the module docs for the full protocol). Records
 /// the read's virtual makespan and feeds every per-provider outcome into
 /// the failure detector.
 pub fn fetch_chunks(
     infra: &Arc<Infrastructure>,
-    striping: &StripingMeta,
-    object_size: ByteSize,
+    stripe: &StripeMeta,
     config: &HedgeConfig,
 ) -> Result<Vec<Chunk>> {
-    let m = striping.m.max(1) as usize;
+    let m = stripe.m.max(1) as usize;
+    let size = ByteSize::from_bytes(stripe.len);
     // Rank chunk locations by the read cost of their provider first (the
     // seed's order, so billing ties break exactly as before), then by
     // *expected read latency* — the observed summary when the provider has
@@ -891,16 +835,16 @@ pub fn fetch_chunks(
     // are raced first. The descriptors (one unavoidable clone each, made by
     // the catalog lookup) live only as long as the ranking; the race itself
     // needs just the `Copy` location + latency model.
-    let mut locations: Vec<ChunkLocation> = Vec::with_capacity(striping.chunks.len());
-    let mut descriptors: Vec<ProviderDescriptor> = Vec::with_capacity(striping.chunks.len());
-    for location in &striping.chunks {
+    let mut locations: Vec<ChunkLocation> = Vec::with_capacity(stripe.chunks.len());
+    let mut descriptors: Vec<ProviderDescriptor> = Vec::with_capacity(stripe.chunks.len());
+    for location in &stripe.chunks {
         if let Some(descriptor) = infra.catalog().get(location.provider) {
             locations.push(*location);
             descriptors.push(descriptor);
         }
     }
-    let chunk_gb = object_size.as_gb() / striping.m.max(1) as f64;
-    let chunk_bytes = chunk_bytes_for(object_size, striping.m);
+    let chunk_gb = size.as_gb() / stripe.m.max(1) as f64;
+    let chunk_bytes = chunk_bytes_for(size, stripe.m);
     let mut order = cheapest_read_providers(&descriptors, locations.len() as u32, chunk_gb);
     // Precompute the latency keys (one lock acquisition each, none held
     // while sorting) — the sample floor is the hedging policy's, so
@@ -929,7 +873,7 @@ pub fn fetch_chunks(
 
     let read = HedgedRead {
         infra,
-        striping,
+        stripe,
         config,
         chunk_bytes,
         candidates,
@@ -944,53 +888,36 @@ pub fn fetch_chunks(
     Ok(chunks)
 }
 
-/// Fetches chunks with [`fetch_chunks`] and reassembles the object,
-/// tolerating up to `n − m` failed or straggling providers. Striped objects
-/// fetch and decode stripe by stripe — each stripe runs its own hedged
-/// `m`-of-`n` race and is checksum-verified — so the transient working set
-/// beyond the output buffer stays O(stripe), never O(object).
+/// Fetches and decodes an object stripe by stripe — each stripe runs its
+/// own hedged `m`-of-`n` race, tolerating up to `n − m` failed or
+/// straggling providers — so the transient working set beyond the output
+/// buffer stays O(stripe), never O(object).
 pub fn fetch_and_reassemble(
     infra: &Arc<Infrastructure>,
     meta: &ObjectMeta,
     config: &HedgeConfig,
 ) -> Result<Bytes> {
     let striping = &meta.striping;
-    let Some(map) = &striping.stripes else {
-        // `code_width()`, not `chunks.len()`: a degraded striping keeps the
-        // surviving chunks' original erasure indices, and the decoder must
-        // see the width those indices were encoded under.
-        let params = ErasureParams::new(striping.m, striping.code_width())
-            .ok_or_else(|| ScaliaError::Internal("invalid striping metadata".into()))?;
-        let chunks = fetch_chunks(infra, striping, meta.size, config)?;
-        return decode_object(&chunks, params, meta.size.bytes() as usize);
-    };
-    let mut out = Vec::with_capacity(map.total_len() as usize);
-    for i in 0..map.stripes.len() {
-        let stripe = fetch_stripe(infra, striping, i, config)?;
-        out.extend_from_slice(&stripe);
-    }
-    Ok(Bytes::from(out))
+    concat(
+        (0..striping.stripes.len()).map(|i| fetch_stripe(infra, striping, i, config)),
+        meta.size.bytes(),
+    )
 }
 
-/// Fetches and decodes one stripe of a striped object with the hedged
-/// `m`-of-`n` race, verifying the stripe's recorded plaintext checksum.
+/// Fetches and decodes stripe `index` with the hedged `m`-of-`n` race. The
+/// stripe of a multi-stripe object is verified against its recorded
+/// plaintext checksum; a one-stripe object's stripe checksum is its object
+/// checksum, which reads do not re-hash.
 pub fn fetch_stripe(
     infra: &Arc<Infrastructure>,
     striping: &StripingMeta,
     index: usize,
     config: &HedgeConfig,
 ) -> Result<Bytes> {
-    let map = striping
-        .stripes
-        .as_ref()
-        .ok_or_else(|| ScaliaError::Internal("fetch_stripe on single-stripe object".into()))?;
-    let stripe = &map.stripes[index];
-    let view = striping.stripe_view(index);
-    let params = ErasureParams::new(view.m, view.code_width())
-        .ok_or_else(|| ScaliaError::Internal("invalid stripe metadata".into()))?;
-    let chunks = fetch_chunks(infra, &view, ByteSize::from_bytes(stripe.len), config)?;
-    let bytes = decode_object(&chunks, params, stripe.len as usize)?;
-    if scalia_types::md5::md5_hex(&bytes) != stripe.checksum {
+    let stripe = &striping.stripes[index];
+    let chunks = fetch_chunks(infra, stripe, config)?;
+    let bytes = decode_object(&chunks, stripe_params(stripe)?, stripe.len as usize)?;
+    if striping.stripes.len() > 1 && scalia_types::md5::md5_hex(&bytes) != stripe.checksum {
         return Err(ScaliaError::DecodeFailed(format!(
             "stripe {index} of {} failed its checksum",
             striping.skey
@@ -1000,11 +927,11 @@ pub fn fetch_stripe(
 }
 
 /// Fetches only the chunks needed to serve the byte range
-/// `[offset, offset + len)` of an object: for a striped object just the
-/// covering stripes (each still a hedged `m`-of-`n` race); for a classic
-/// single-stripe object its one chunk set, decoded through the systematic
-/// range fast path. The result equals the same slice of a full read,
-/// clamped to the object's end — an empty or past-EOF range is empty bytes.
+/// `[offset, offset + len)` of an object: just the covering stripes, each
+/// still a hedged `m`-of-`n` race. A stripe needed whole is decoded like a
+/// full read; a partial stripe is decoded through the systematic range fast
+/// path. The result equals the same slice of a full read, clamped to the
+/// object's end — an empty or past-EOF range is empty bytes.
 pub fn fetch_range(
     infra: &Arc<Infrastructure>,
     meta: &ObjectMeta,
@@ -1012,49 +939,52 @@ pub fn fetch_range(
     len: u64,
     config: &HedgeConfig,
 ) -> Result<Bytes> {
-    let size = meta.size.bytes();
-    let end = offset.saturating_add(len).min(size);
+    let end = offset.saturating_add(len).min(meta.size.bytes());
     if offset >= end {
         return Ok(Bytes::new());
     }
     let striping = &meta.striping;
-    let Some(map) = &striping.stripes else {
-        // The single stripe IS the covering stripe: fetch its m cheapest
-        // chunks and decode only the requested range.
-        let params = ErasureParams::new(striping.m, striping.code_width())
-            .ok_or_else(|| ScaliaError::Internal("invalid striping metadata".into()))?;
-        let chunks = fetch_chunks(infra, striping, meta.size, config)?;
-        return decode_object_range(
-            &chunks,
-            params,
-            size as usize,
-            offset as usize,
-            (end - offset) as usize,
-        );
-    };
-    let mut out = Vec::with_capacity((end - offset) as usize);
-    for i in map.covering(offset, end) {
-        let stripe = &map.stripes[i];
-        let stripe_start = map.stripe_offset(i);
+    let pieces = striping.covering(offset, end).map(|i| {
+        let stripe = &striping.stripes[i];
+        let stripe_start = striping.stripe_offset(i);
         let from = offset.max(stripe_start) - stripe_start;
         let to = (end - stripe_start).min(stripe.len);
         if from == 0 && to == stripe.len {
-            // Whole stripe needed: decode + checksum-verify it.
-            out.extend_from_slice(&fetch_stripe(infra, striping, i, config)?);
-        } else {
-            let view = striping.stripe_view(i);
-            let params = ErasureParams::new(view.m, view.code_width())
-                .ok_or_else(|| ScaliaError::Internal("invalid stripe metadata".into()))?;
-            let chunks = fetch_chunks(infra, &view, ByteSize::from_bytes(stripe.len), config)?;
-            let bytes = decode_object_range(
-                &chunks,
-                params,
-                stripe.len as usize,
-                from as usize,
-                (to - from) as usize,
-            )?;
-            out.extend_from_slice(&bytes);
+            return fetch_stripe(infra, striping, i, config);
         }
+        let chunks = fetch_chunks(infra, stripe, config)?;
+        decode_object_range(
+            &chunks,
+            stripe_params(stripe)?,
+            stripe.len as usize,
+            from as usize,
+            (to - from) as usize,
+        )
+    });
+    concat(pieces, end - offset)
+}
+
+/// The erasure parameters a stripe decodes under. `code_width()`, not the
+/// chunk count: a degraded stripe keeps the surviving chunks' original
+/// erasure indices, and the decoder must see the width they were encoded
+/// under.
+fn stripe_params(stripe: &StripeMeta) -> Result<ErasureParams> {
+    ErasureParams::new(stripe.m, stripe.code_width())
+        .ok_or_else(|| ScaliaError::Internal("invalid stripe metadata".into()))
+}
+
+/// Joins decoded pieces in order. A single piece — a one-stripe object —
+/// is returned as decoded, without a copy.
+fn concat(mut pieces: impl Iterator<Item = Result<Bytes>>, len: u64) -> Result<Bytes> {
+    let first = pieces.next().transpose()?.unwrap_or_default();
+    let Some(second) = pieces.next().transpose()? else {
+        return Ok(first);
+    };
+    let mut out = Vec::with_capacity(len as usize);
+    out.extend_from_slice(&first);
+    out.extend_from_slice(&second);
+    for piece in pieces {
+        out.extend_from_slice(&piece?);
     }
     Ok(Bytes::from(out))
 }
@@ -1062,6 +992,7 @@ pub fn fetch_range(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use scalia_erasure::codec::encode_object;
     use scalia_providers::backend::ObjectStore;
     use scalia_providers::catalog::ProviderCatalog;
     use scalia_types::time::Duration as SimDuration;
@@ -1077,6 +1008,46 @@ mod tests {
         }
     }
 
+    /// The one-stripe record of `data` landed under `skey`.
+    fn stripe_of(
+        chunks: Vec<ChunkLocation>,
+        placement: &Placement,
+        skey: &str,
+        data: &Bytes,
+    ) -> StripeMeta {
+        StripeMeta {
+            chunks,
+            m: placement.m,
+            len: data.len() as u64,
+            checksum: scalia_types::md5::md5_hex(data),
+            skey: skey.to_string(),
+        }
+    }
+
+    /// Encodes `data` for `placement` and uploads it as one stripe.
+    fn upload(
+        infra: &Infrastructure,
+        placement: &Placement,
+        skey: &str,
+        data: &Bytes,
+    ) -> std::result::Result<StripeMeta, WriteFailure> {
+        let encoded = encode_object(data, placement.erasure_params()).unwrap();
+        let chunks = upload_encoded(infra, placement, skey, &encoded, &HedgeConfig::default())?;
+        Ok(stripe_of(chunks, placement, skey, data))
+    }
+
+    /// Encodes `data` for `placement` and uploads it tolerantly.
+    fn upload_tolerant(
+        infra: &Infrastructure,
+        placement: &Placement,
+        skey: &str,
+        data: &Bytes,
+        config: &HedgeConfig,
+    ) -> std::result::Result<PartialWrite, WriteFailure> {
+        let encoded = encode_object(data, placement.erasure_params()).unwrap();
+        upload_encoded_tolerant(infra, placement, skey, &encoded, config)
+    }
+
     fn stored_total(infra: &Infrastructure) -> u64 {
         infra
             .backends()
@@ -1090,7 +1061,7 @@ mod tests {
         let infra = infra();
         let placement = placement_of(&infra, 3, 2);
         let data = Bytes::from(vec![5u8; 90_000]);
-        let striping = write_chunks(&infra, &placement, "skey-w", &data).unwrap();
+        let striping = upload(&infra, &placement, "skey-w", &data).unwrap();
         assert_eq!(striping.chunks.len(), 3);
         assert_eq!(striping.m, 2);
         // Locations come back in chunk-index order regardless of which
@@ -1102,13 +1073,7 @@ mod tests {
         // One put recorded at the object level.
         assert_eq!(infra.io_latency_snapshot(StoreOp::Put).count, 1);
         // And the payload reassembles.
-        let chunks = fetch_chunks(
-            &infra,
-            &striping,
-            ByteSize::from_bytes(90_000),
-            &HedgeConfig::default(),
-        )
-        .unwrap();
+        let chunks = fetch_chunks(&infra, &striping, &HedgeConfig::default()).unwrap();
         assert_eq!(chunks.len(), 2);
     }
 
@@ -1120,7 +1085,7 @@ mod tests {
         infra.backend(victim).unwrap().set_down(true);
 
         let data = Bytes::from(vec![7u8; 60_000]);
-        let failure = write_chunks(&infra, &placement, "skey-x", &data).unwrap_err();
+        let failure = upload(&infra, &placement, "skey-x", &data).unwrap_err();
         assert_eq!(failure.provider, Some(victim));
         assert!(matches!(
             failure.error,
@@ -1144,17 +1109,15 @@ mod tests {
 
         let data = Bytes::from(vec![6u8; 80_000]);
         let partial =
-            write_chunks_tolerant(&infra, &placement, "skey-t", &data, &HedgeConfig::default())
-                .unwrap();
-        assert_eq!(partial.striping.chunks.len(), 3, "3 of 4 chunks landed");
+            upload_tolerant(&infra, &placement, "skey-t", &data, &HedgeConfig::default()).unwrap();
+        assert_eq!(partial.chunks.len(), 3, "3 of 4 chunks landed");
         assert_eq!(partial.failed.len(), 1);
         assert_eq!(partial.failed[0].0, victim);
-        assert!(partial.striping.chunks.iter().all(|c| c.provider != victim));
+        assert!(partial.chunks.iter().all(|c| c.provider != victim));
         // The degraded striping reads back through the normal hedged path.
         let chunks = fetch_chunks(
             &infra,
-            &partial.striping,
-            ByteSize::from_bytes(80_000),
+            &stripe_of(partial.chunks, &placement, "skey-t", &data),
             &HedgeConfig::default(),
         )
         .unwrap();
@@ -1165,7 +1128,7 @@ mod tests {
         for provider in placement.providers.iter().take(3) {
             infra.backend(provider.id).unwrap().set_down(true);
         }
-        let err = write_chunks_tolerant(
+        let err = upload_tolerant(
             &infra,
             &placement,
             "skey-t2",
@@ -1186,7 +1149,7 @@ mod tests {
         let infra = infra();
         let placement = placement_of(&infra, 4, 2);
         let data = Bytes::from(vec![9u8; 120_000]);
-        let striping = write_chunks(&infra, &placement, "skey-h", &data).unwrap();
+        let striping = upload(&infra, &placement, "skey-h", &data).unwrap();
 
         // Kill the cheapest-ranked provider (the one a sequential reader
         // would contact first).
@@ -1200,13 +1163,7 @@ mod tests {
         let victim = striping.chunks[ranked[0]].provider;
         infra.backend(victim).unwrap().set_down(true);
 
-        let chunks = fetch_chunks(
-            &infra,
-            &striping,
-            ByteSize::from_bytes(120_000),
-            &HedgeConfig::default(),
-        )
-        .unwrap();
+        let chunks = fetch_chunks(&infra, &striping, &HedgeConfig::default()).unwrap();
         assert_eq!(chunks.len(), 2);
         assert!(
             chunks.iter().all(|c| c.verify()),
@@ -1221,7 +1178,7 @@ mod tests {
         let infra = infra();
         let placement = placement_of(&infra, 3, 1);
         let data = Bytes::from(vec![3u8; 40_000]);
-        let striping = write_chunks(&infra, &placement, "skey-s", &data).unwrap();
+        let striping = upload(&infra, &placement, "skey-s", &data).unwrap();
 
         let descriptors: Vec<ProviderDescriptor> = striping
             .chunks
@@ -1242,13 +1199,7 @@ mod tests {
             .latency_snapshot(scalia_providers::backend::StoreOp::Get)
             .count;
 
-        let chunks = fetch_chunks(
-            &infra,
-            &striping,
-            ByteSize::from_bytes(40_000),
-            &HedgeConfig::default(),
-        )
-        .unwrap();
+        let chunks = fetch_chunks(&infra, &striping, &HedgeConfig::default()).unwrap();
         assert_eq!(chunks.len(), 1);
         assert!(chunks[0].verify());
 
@@ -1323,7 +1274,7 @@ mod tests {
         let infra = infra();
         let placement = placement_of(&infra, 3, 1);
         let data = Bytes::from(vec![8u8; 50_000]);
-        let striping = write_chunks(&infra, &placement, "skey-rank", &data).unwrap();
+        let striping = upload(&infra, &placement, "skey-rank", &data).unwrap();
 
         // The price-ranked first choice develops a bad observed record.
         let chunk_gb = ByteSize::from_bytes(50_000).as_gb();
@@ -1343,13 +1294,7 @@ mod tests {
             .unwrap()
             .latency_snapshot(StoreOp::Get)
             .count;
-        let chunks = fetch_chunks(
-            &infra,
-            &striping,
-            ByteSize::from_bytes(50_000),
-            &HedgeConfig::default(),
-        )
-        .unwrap();
+        let chunks = fetch_chunks(&infra, &striping, &HedgeConfig::default()).unwrap();
         assert_eq!(chunks.len(), 1);
         let gets_after = infra
             .backend(tainted)
@@ -1367,17 +1312,11 @@ mod tests {
         let infra = infra();
         let placement = placement_of(&infra, 3, 2);
         let data = Bytes::from(vec![1u8; 30_000]);
-        let striping = write_chunks(&infra, &placement, "skey-f", &data).unwrap();
+        let striping = upload(&infra, &placement, "skey-f", &data).unwrap();
         for provider in striping.providers().into_iter().take(2) {
             infra.backend(provider).unwrap().set_down(true);
         }
-        let err = fetch_chunks(
-            &infra,
-            &striping,
-            ByteSize::from_bytes(30_000),
-            &HedgeConfig::default(),
-        )
-        .unwrap_err();
+        let err = fetch_chunks(&infra, &striping, &HedgeConfig::default()).unwrap_err();
         assert!(matches!(
             err,
             ScaliaError::NotEnoughChunks {
@@ -1392,11 +1331,11 @@ mod tests {
         let infra = infra();
         let placement = placement_of(&infra, 3, 2);
         let data = Bytes::from(vec![2u8; 45_000]);
-        let striping = write_chunks(&infra, &placement, "skey-d", &data).unwrap();
+        let striping = upload(&infra, &placement, "skey-d", &data).unwrap();
         let victim = striping.chunks[0].provider;
         infra.backend(victim).unwrap().set_down(true);
 
-        delete_chunks(&infra, &striping);
+        delete_chunks(&infra, std::slice::from_ref(&striping));
         assert_eq!(infra.pending_delete_count(), 1, "down provider postpones");
         let survivors: u64 = infra
             .backends()

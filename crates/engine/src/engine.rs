@@ -17,14 +17,15 @@
 //!   providers), fold the object's lifetime and mean usage into its class
 //!   statistics, and drop the metadata.
 //!
-//! Large objects take the **streaming data path** instead of the
-//! whole-object write above: [`Engine::put`] routes payloads past the
-//! streaming threshold through the staged stripe pipeline in
-//! [`crate::streaming`] (encode stripe k+1 while stripe k's chunks are in
-//! flight, O(stripe) transient buffering), the same pipeline backs the
-//! explicit multipart API ([`Engine::begin_put`] → `put_part` →
-//! `complete_put`), and [`Engine::get_range`] serves byte ranges by
-//! fetching only the stripes that cover the requested window.
+//! Every object is a stripe map of one or more stripes, written by the one
+//! landing ladder in [`crate::streaming`]: a payload at or below the
+//! streaming threshold lands as one stripe, a larger one streams stripe by
+//! stripe (encode stripe k+1 while stripe k's chunks are in flight,
+//! O(stripe) transient buffering). The same pipeline backs the explicit
+//! multipart API ([`Engine::begin_put`] → `put_part` → `complete_put`) and
+//! re-placement ([`Engine::replace_placement`]), and [`Engine::get_range`]
+//! serves byte ranges by fetching only the stripes that cover the requested
+//! window.
 //!
 //! Engines are stateless: everything they touch lives in the shared
 //! [`Infrastructure`], so adding engines scales the deployment linearly.
@@ -48,6 +49,7 @@ use scalia_types::object::{ObjectKey, ObjectMeta, ObjectVersionId, StripingMeta}
 use scalia_types::rules::StorageRule;
 use scalia_types::size::ByteSize;
 use scalia_types::stats::AccessHistory;
+use serde::Deserialize;
 use serde_json::json;
 use std::sync::Arc;
 
@@ -55,10 +57,10 @@ use std::sync::Arc;
 /// whose class has no statistics yet (24 hourly periods = 1 day).
 pub const DEFAULT_DECISION_PERIODS: usize = 24;
 
-/// Bound on place-and-write attempts: a write runs at most this many
-/// parallel uploads, i.e. it survives up to `WRITE_ATTEMPTS − 1`
-/// provider-side upload failures before the error is surfaced (§III-D3's
-/// mark-unavailable-and-retry, made finite).
+/// Bound on the landing attempts of one stripe: a stripe runs at most this
+/// many parallel uploads, i.e. it survives up to `WRITE_ATTEMPTS − 1`
+/// provider-side upload failures before it falls back to the degraded
+/// landing (§III-D3's mark-unavailable-and-retry, made finite).
 pub const WRITE_ATTEMPTS: usize = 3;
 
 /// A stateless Scalia engine.
@@ -128,13 +130,12 @@ impl Engine {
 
     /// Stores (or overwrites) an object.
     ///
-    /// Payloads above the streaming threshold
-    /// ([`Infrastructure::streaming_threshold_bytes`]) are routed through
-    /// the staged stripe pipeline ([`crate::streaming`]): the payload is cut
-    /// into fixed-size stripes, stripe `k + 1` is encoded while stripe `k`'s
-    /// chunks are in flight, and the pipeline's transient buffering stays
-    /// O(stripe). Smaller payloads take the classic single-stripe path,
-    /// whose on-provider layout is bit-identical to every prior release.
+    /// Every put lands through the one stripe ladder of
+    /// [`crate::streaming`]. A payload at or below the streaming threshold
+    /// ([`Infrastructure::streaming_threshold_bytes`]) is encoded and landed
+    /// as a single stripe. A larger payload is cut into fixed-size stripes
+    /// and streamed: stripe `k + 1` is encoded while stripe `k`'s chunks are
+    /// in flight, and the pipeline's transient buffering stays O(stripe).
     pub fn put(
         &self,
         key: &ObjectKey,
@@ -146,14 +147,14 @@ impl Engine {
         if data.len() as u64 > self.infra.streaming_threshold_bytes() {
             return self.put_streaming(key, data, mime, rule, ttl_hint_hours);
         }
-        self.put_single(key, data, mime, rule, ttl_hint_hours)
+        let checksum = scalia_types::md5::md5_hex(&data);
+        self.put_one_stripe(key, &data, checksum, mime, rule, ttl_hint_hours)
     }
 
     /// Predicts the object's usage over the default decision period: the
     /// class statistics when available (Fig. 6), storage-only otherwise,
-    /// with the optimisation horizon bounded by the TTL hint. Shared by the
-    /// classic and streaming write paths so both price placements
-    /// identically.
+    /// with the optimisation horizon bounded by the TTL hint. Shared by every
+    /// write so all placements are priced identically.
     pub(crate) fn predict_usage(
         &self,
         class: &ObjectClass,
@@ -179,45 +180,15 @@ impl Engine {
         usage
     }
 
-    /// The classic single-stripe write path: everything encoded and
-    /// uploaded as one erasure group. [`crate::streaming`]'s tail-fallback
-    /// calls this directly (routing through [`Self::put`] again could
-    /// recurse when the configured stripe size exceeds the threshold).
-    pub(crate) fn put_single(
-        &self,
-        key: &ObjectKey,
-        data: Bytes,
-        mime: &str,
-        rule: StorageRule,
-        ttl_hint_hours: Option<f64>,
-    ) -> Result<ObjectMeta> {
-        let size = ByteSize::from_bytes(data.len() as u64);
-        let class = ObjectClass::of(mime, size);
-        let usage = self.predict_usage(&class, size, ttl_hint_hours);
-
-        // Encode and store the chunks (re-placing and retrying, bounded, if
-        // a provider fails mid-write; landing *degraded* — k ≥ m chunks
-        // that still clear the rule's availability floor — when
-        // re-placement is exhausted).
-        let (version, striping, degraded_from) =
-            self.place_and_write(key, &rule, &class, &usage, &data)?;
-
+    /// Commits a landed put: `have` of the `want` chunks it set out to
+    /// store landed, and a shortfall becomes one durability debt. Then
+    /// garbage-collects the deprecated versions' chunks, records the
+    /// object's class and logs the write.
+    pub(crate) fn commit_put(&self, meta: &ObjectMeta, have: u64, want: u64) -> Result<()> {
         // Chaos crash point: chunks are uploaded but nothing is committed.
         // The write is not acked; the orphaned chunks belong to the GC
         // sweep.
         self.infra.crash_point("put::after-upload")?;
-
-        let meta = ObjectMeta {
-            key: key.clone(),
-            version,
-            mime: mime.to_string(),
-            size,
-            checksum: scalia_types::md5::md5_hex(&data),
-            rule,
-            written_at: self.infra.now(),
-            ttl_hint_hours,
-            striping,
-        };
 
         // Serialise the commit against concurrent puts/deletes/migrations
         // of the same object so MVCC pruning always sees a settled latest
@@ -225,22 +196,21 @@ impl Engine {
         // reader's epoch-gated populate (see `Engine::get`) also runs under
         // the row lock, so commit + invalidation are atomic with respect to
         // it — a deprecated payload can never be inserted after the
-        // invalidation that covers it. Chunk uploads (above) and
+        // invalidation that covers it. Chunk uploads (before) and
         // deprecated-chunk GC (below) stay outside the lock — no provider
-        // round-trip happens under it.
-        // A degraded landing records its durability debt — and the repair
-        // queue entry that will backfill it to full width — atomically with
-        // the metadata commit.
-        let debt = degraded_from.map(|want| {
-            serde_json::json!({
+        // round-trip happens under it. A degraded landing records its
+        // durability debt — and the repair queue entry that will backfill
+        // it to full width — atomically with the metadata commit.
+        let debt = (want > have).then(|| {
+            json!({
                 "reason": "degraded-write",
-                "have": meta.striping.chunks.len(),
+                "have": have,
                 "want": want,
             })
         });
         let deprecated = {
             let _commit = self.infra.lock_row_commit(&meta.row_key());
-            let deprecated = self.commit_metadata_with_debt(&meta, debt)?;
+            let deprecated = self.commit_metadata_with_debt(meta, debt)?;
             self.invalidate_everywhere(&meta.row_key());
             deprecated
         };
@@ -250,11 +220,12 @@ impl Engine {
         for striping in &deprecated {
             self.delete_chunks(striping);
         }
-        self.record_class_with_retry(&key.row_key(), class.id());
+        let class = ObjectClass::of(&meta.mime, meta.size);
+        self.record_class_with_retry(&meta.row_key(), class.id());
 
         // Log the write for the statistics pipeline.
-        self.log_access(key, AccessKind::Write, size, size);
-        Ok(meta)
+        self.log_access(&meta.key, AccessKind::Write, meta.size, meta.size);
+        Ok(())
     }
 
     /// Records the object's class membership in the statistics store,
@@ -280,125 +251,6 @@ impl Engine {
                 }
                 Err(_) => self.infra.note_class_record_failure(),
             }
-        }
-    }
-
-    /// Places and uploads an object's chunks, retrying — bounded by
-    /// [`WRITE_ATTEMPTS`] — when a provider fails mid-write, as §III-D3
-    /// prescribes: the parallel upload in [`chunk_io::write_chunks`] rolls
-    /// back the chunks that already landed and reports the failed provider
-    /// to the failure detector (a hard unreachability error marks it
-    /// unavailable in the catalog immediately); the write is then re-placed
-    /// over the remaining providers and retried.
-    ///
-    /// When re-placement is **exhausted** — attempts used up, or the search
-    /// itself finds no feasible set — the write falls back to a *degraded*
-    /// landing ([`Self::degraded_write`]) on the last placement tried:
-    /// every chunk is attempted tolerantly and the result is accepted iff
-    /// `k ≥ m` chunks landed *and* the surviving providers still clear the
-    /// rule's availability floor. Returns the version the successful
-    /// attempt was stored under, its striping, and — for a degraded landing
-    /// — the full width the repair queue must backfill to.
-    fn place_and_write(
-        &self,
-        key: &ObjectKey,
-        rule: &StorageRule,
-        class: &ObjectClass,
-        usage: &PredictedUsage,
-        data: &Bytes,
-    ) -> Result<(ObjectVersionId, StripingMeta, Option<u32>)> {
-        let mut excluded: Vec<ProviderId> = Vec::new();
-        let mut last_failed: Option<Placement> = None;
-        loop {
-            let placement = match self.place_excluding(rule, class, usage, &excluded) {
-                Ok(placement) => placement,
-                Err(place_err) => {
-                    // Re-placement found nothing: degrade on the placement
-                    // whose upload last failed, if there was one.
-                    return match last_failed {
-                        Some(placement) => self
-                            .degraded_write(key, rule, &placement, data)
-                            .ok_or(place_err),
-                        None => Err(place_err),
-                    };
-                }
-            };
-            // A fresh version — and therefore fresh chunk keys — per
-            // attempt: a failed attempt's rollback may have *postponed* a
-            // delete (the provider flapped down mid-rollback), and that
-            // delete fires unconditionally once the provider recovers. If
-            // the retry reused the same keys, it could land a committed
-            // chunk exactly where the pending delete will strike.
-            let version = self.infra.next_version(&key.row_key());
-            let skey = StripingMeta::storage_key(key, version);
-            match chunk_io::write_chunks(&self.infra, &placement, &skey, data) {
-                Ok(striping) => return Ok((version, striping, None)),
-                Err(failure) => match failure.provider {
-                    // The failed provider may or may not have tripped the
-                    // failure detector (e.g. a full private resource stays
-                    // catalog-available); exclude it from the re-placement
-                    // search explicitly either way.
-                    Some(provider) if excluded.len() + 1 < WRITE_ATTEMPTS => {
-                        excluded.push(provider);
-                        last_failed = Some(placement);
-                    }
-                    Some(_) => {
-                        // Attempts exhausted: degrade on this placement or
-                        // surface the upload error.
-                        return self
-                            .degraded_write(key, rule, &placement, data)
-                            .ok_or(failure.error);
-                    }
-                    None => return Err(failure.error),
-                },
-            }
-        }
-    }
-
-    /// The degraded-write fallback: attempts every chunk of `placement`
-    /// tolerantly ([`chunk_io::write_chunks_tolerant`]) and accepts the
-    /// partial landing iff at least `m` chunks survive **and** the
-    /// surviving provider subset still meets the rule's availability floor.
-    /// Returns `None` — with every landed chunk rolled back — when the
-    /// landing is not durable enough to acknowledge.
-    fn degraded_write(
-        &self,
-        key: &ObjectKey,
-        rule: &StorageRule,
-        placement: &Placement,
-        data: &Bytes,
-    ) -> Option<(ObjectVersionId, StripingMeta, Option<u32>)> {
-        let version = self.infra.next_version(&key.row_key());
-        let skey = StripingMeta::storage_key(key, version);
-        let partial = chunk_io::write_chunks_tolerant(
-            &self.infra,
-            placement,
-            &skey,
-            data,
-            &HedgeConfig::default(),
-        )
-        .ok()?;
-        let want = placement.providers.len() as u32;
-        if partial.striping.chunks.len() as u32 == want {
-            // Everything landed after all (the earlier failure was
-            // transient): a full-width write, no debt.
-            return Some((version, partial.striping, None));
-        }
-        let surviving: Vec<scalia_providers::descriptor::ProviderDescriptor> = partial
-            .striping
-            .chunks
-            .iter()
-            .filter_map(|c| self.infra.catalog().get(c.provider))
-            .collect();
-        let availability =
-            scalia_core::availability::get_availability(&surviving, partial.striping.m);
-        if surviving.len() == partial.striping.chunks.len() && availability.meets(rule.availability)
-        {
-            Some((version, partial.striping, Some(want)))
-        } else {
-            // Not durable enough to acknowledge: roll the landing back.
-            chunk_io::delete_chunks(&self.infra, &partial.striping);
-            None
         }
     }
 
@@ -595,23 +447,23 @@ impl Engine {
         self.local_cache.put_if_epoch(row_key, data.clone(), epoch);
     }
 
-    /// Reads and deserialises the current metadata version of an object.
+    /// Reads and deserialises the current metadata version of an object,
+    /// decoding straight from the stored cell rather than a copy of it.
     pub fn read_metadata(&self, key: &ObjectKey) -> Result<ObjectMeta> {
-        let row_key = key.row_key();
-        let cell = self
-            .infra
+        self.infra
             .database()
-            .get_latest(self.datacenter, &row_key, "meta")
-            .ok_or_else(|| ScaliaError::ObjectNotFound(key.clone()))?;
-        serde_json::from_value(cell.value)
+            .with_latest(self.datacenter, &key.row_key(), "meta", |cell| {
+                ObjectMeta::deserialize(&cell.value)
+            })
+            .ok_or_else(|| ScaliaError::ObjectNotFound(key.clone()))?
             .map_err(|e| ScaliaError::Internal(format!("deserialize metadata: {e}")))
     }
 
-    /// Fetches chunks with a hedged race over the cheapest `m` providers
-    /// and reassembles the object, tolerating up to `n − m` failed or
-    /// straggling providers. Provider errors feed the failure detector
-    /// (§III-D3); a fetch that exceeds its hedge deadline has the
-    /// next-ranked parity provider promoted into the race (see
+    /// Fetches each stripe's chunks with a hedged race over the cheapest
+    /// `m` providers and reassembles the object, tolerating up to `n − m`
+    /// failed or straggling providers per stripe. Provider errors feed the
+    /// failure detector (§III-D3); a fetch that exceeds its hedge deadline
+    /// has the next-ranked parity provider promoted into the race (see
     /// [`chunk_io::fetch_chunks`]).
     pub fn fetch_and_reassemble(&self, meta: &ObjectMeta) -> Result<Bytes> {
         chunk_io::fetch_and_reassemble(&self.infra, meta, &HedgeConfig::default())
@@ -694,64 +546,20 @@ impl Engine {
     /// whose provider is unreachable ("the deletion of the chunk residing
     /// at a faulty provider is postponed until the provider recovers").
     pub fn delete_chunks(&self, striping: &StripingMeta) {
-        chunk_io::delete_chunks(&self.infra, striping);
+        chunk_io::delete_chunks(&self.infra, &striping.stripes);
     }
 
     // ------------------------------------------------------------------
     // Re-placement (used by the periodic optimiser and active repair)
     // ------------------------------------------------------------------
 
-    /// Moves an object to a new placement: reassembles it, re-encodes it for
-    /// the new `(m, n)`, writes the new chunks, commits the new metadata
-    /// version and deletes the old chunks. Returns the new metadata.
-    ///
-    /// The commit is **conditional** (optimistic concurrency): the re-coded
-    /// payload is only valid for the version that was read, so if a client
-    /// write (or another migration) committed a newer version in the
-    /// meantime, committing ours would silently revert the client's data.
-    /// In that case the freshly-written chunks are rolled back and
-    /// [`ScaliaError::Conflict`] is returned — the optimiser simply skips
-    /// the object; it will be reconsidered next cycle.
-    pub fn replace_placement(
-        &self,
-        key: &ObjectKey,
-        new_placement: &Placement,
-    ) -> Result<ObjectMeta> {
-        let old_meta = self.read_metadata(key)?;
-        if old_meta.striping.is_striped() {
-            // Striped objects migrate stripe by stripe (O(stripe) resident,
-            // never the whole object) through the streaming module, sharing
-            // the conditional commit below.
-            return self.replace_placement_striped(key, new_placement, old_meta);
-        }
-        let data = self.fetch_and_reassemble(&old_meta)?;
-
-        let version = self.infra.next_version(&key.row_key());
-        let skey = StripingMeta::storage_key(key, version);
-        // Chunk uploads happen outside the commit lock (they may be slow).
-        // No re-placement on failure here: the caller chose this placement
-        // deliberately; a failed provider just fails the migration (the
-        // optimiser retries the object next cycle), and chunk_io has
-        // already rolled back the partial upload.
-        let striping = chunk_io::write_chunks(&self.infra, new_placement, &skey, &data)
-            .map_err(ScaliaError::from)?;
-
-        let new_meta = ObjectMeta {
-            version,
-            written_at: old_meta.written_at,
-            striping,
-            ..old_meta.clone()
-        };
-        self.commit_replacement(key, old_meta.version, &new_meta)?;
-        Ok(new_meta)
-    }
-
     /// The conditional (optimistic) commit of a re-placement: validates that
     /// the object is still at `old_version` under the row lock, commits
     /// `new_meta` and invalidates the caches atomically, and garbage-collects
     /// the deprecated versions' chunks after release. On conflict or commit
     /// failure the **new** chunks are rolled back and the error surfaced.
-    /// Shared by the single-stripe and striped migration paths.
+    /// [`Engine::replace_placement`] (in [`crate::streaming`]) commits
+    /// through it.
     pub(crate) fn commit_replacement(
         &self,
         key: &ObjectKey,
@@ -883,7 +691,7 @@ mod tests {
             .put(&key, payload.clone(), "image/jpeg", rule(), None)
             .unwrap();
         assert!(
-            meta.striping.chunks.len() >= 2,
+            meta.striping.stripes[0].chunks.len() >= 2,
             "lock-in 0.5 needs ≥2 providers"
         );
         assert_eq!(meta.size, ByteSize::from_bytes(300_000));
@@ -1045,12 +853,12 @@ mod tests {
             .put(&key, payload.clone(), "image/jpeg", rule(), None)
             .unwrap();
         assert!(
-            meta.striping.chunks.len() as u32 > meta.striping.m,
+            meta.striping.stripes[0].chunks.len() as u32 > meta.striping.m,
             "needs redundancy"
         );
 
         // Take down one provider that holds a chunk; reads must still work.
-        let victim = meta.striping.chunks[0].provider;
+        let victim = meta.striping.stripes[0].chunks[0].provider;
         cluster.infra().set_provider_down(victim, true);
         // Bypass the cache to force a provider read.
         cluster.caches().iter().for_each(|c| c.clear());
@@ -1071,7 +879,7 @@ mod tests {
                 None,
             )
             .unwrap();
-        let victim = meta.striping.chunks[0].provider;
+        let victim = meta.striping.stripes[0].chunks[0].provider;
         cluster.infra().set_provider_down(victim, true);
 
         engine.delete(&key).unwrap();
@@ -1106,14 +914,13 @@ mod tests {
         };
         let new_meta = engine.replace_placement(&key, &new_placement).unwrap();
         assert_eq!(new_meta.striping.m, 1);
-        assert_eq!(new_meta.striping.chunks.len(), 2);
+        assert_eq!(new_meta.striping.stripes[0].chunks.len(), 2);
         cluster.caches().iter().for_each(|c| c.clear());
         assert_eq!(engine.get(&key).unwrap(), payload);
         // Only the two chosen providers hold data now.
         for backend in cluster.infra().backends() {
             let holds = backend.object_count() > 0;
-            let chosen = new_meta
-                .striping
+            let chosen = new_meta.striping.stripes[0]
                 .chunks
                 .iter()
                 .any(|c| c.provider == backend.descriptor().id);

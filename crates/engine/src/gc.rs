@@ -6,7 +6,9 @@
 //! are invisible to reads — the metadata is the only map — but they bill
 //! storage forever. [`sweep_orphan_chunks`] reconciles each provider's key
 //! space against the union of chunk keys referenced by **any** metadata
-//! version on any reachable database node, and deletes the difference.
+//! version on any database node, and deletes the difference — but only when
+//! that union is complete: a down node or an undecodable `meta` cell makes
+//! the sweep delete nothing.
 //!
 //! The sweep is safe only on a *quiescent* cluster (no in-flight writes):
 //! an upload racing the sweep has chunks at providers before its metadata
@@ -30,24 +32,40 @@ pub struct GcReport {
     pub orphans_deleted: usize,
     /// Providers skipped because their backend was unreachable.
     pub providers_skipped: usize,
+    /// Metadata nodes that were down. Any down node refuses the sweep.
+    pub nodes_down: usize,
+    /// `meta` cells that failed to decode. Any such cell refuses the sweep.
+    pub undecodable_cells: usize,
+}
+
+impl GcReport {
+    /// Whether the sweep refused to delete anything because the reference
+    /// set was incomplete (a down node or an undecodable `meta` cell).
+    pub fn refused(&self) -> bool {
+        self.nodes_down > 0 || self.undecodable_cells > 0
+    }
 }
 
 /// Deletes every provider chunk that no metadata version references.
 ///
-/// Every version of every object's `meta` column on every up node counts as
-/// a reference — deprecated-but-unpruned versions keep their chunks until
-/// the prune lands, so the sweep never races MVCC. Down providers are
-/// skipped (their keys cannot be listed) and reported; re-run the sweep
-/// when they recover.
+/// Every version of every object's `meta` column on every node counts as a
+/// reference — deprecated-but-unpruned versions keep their chunks until the
+/// prune lands, so the sweep never races MVCC. The sweep fails closed: if
+/// any metadata node is down (its newest versions may exist nowhere else)
+/// or any `meta` cell fails to decode (its chunk references are unknown),
+/// it deletes nothing and the report says why ([`GcReport::refused`]).
+/// Down providers are skipped (their keys cannot be listed) and reported;
+/// re-run the sweep when they recover.
 pub fn sweep_orphan_chunks(infra: &Infrastructure) -> GcReport {
     let mut report = GcReport::default();
 
-    // The union of referenced chunk keys across all reachable nodes: nodes
-    // may briefly diverge (anti-entropy pending), and a chunk referenced by
+    // The union of referenced chunk keys across all nodes: nodes may
+    // briefly diverge (anti-entropy pending), and a chunk referenced by
     // *any* replica must survive.
     let mut referenced: HashSet<String> = HashSet::new();
     for node in infra.database().nodes() {
         if !node.is_up() {
+            report.nodes_down += 1;
             continue;
         }
         for (_, row) in node.snapshot() {
@@ -55,20 +73,17 @@ pub fn sweep_orphan_chunks(infra: &Infrastructure) -> GcReport {
                 continue;
             };
             for cell in cells {
-                let Ok(meta) = serde_json::from_value::<ObjectMeta>(cell.value.clone()) else {
-                    continue;
-                };
-                // `all_chunk_keys`, not the top-level chunk list: a striped
-                // object's chunks live under per-stripe storage keys and its
-                // top-level list is empty — enumerating only the latter
-                // would make the sweep eat every striped object.
-                for key in meta.striping.all_chunk_keys() {
-                    referenced.insert(key);
+                match serde_json::from_value::<ObjectMeta>(cell.value.clone()) {
+                    Ok(meta) => referenced.extend(meta.striping.all_chunk_keys()),
+                    Err(_) => report.undecodable_cells += 1,
                 }
             }
         }
     }
     report.chunks_referenced = referenced.len();
+    if report.refused() {
+        return report;
+    }
 
     for backend in infra.backends() {
         let Ok(keys) = backend.list("") else {
@@ -91,6 +106,7 @@ mod tests {
     use crate::cluster::ScaliaCluster;
     use bytes::Bytes;
     use scalia_providers::backend::ObjectStore;
+    use scalia_types::ids::DatacenterId;
     use scalia_types::object::ObjectKey;
     use scalia_types::reliability::Reliability;
     use scalia_types::rules::StorageRule;
@@ -136,6 +152,85 @@ mod tests {
 
         // A second sweep finds nothing.
         assert_eq!(sweep_orphan_chunks(&infra).orphans_deleted, 0);
+    }
+
+    fn stored_total(infra: &Infrastructure) -> u64 {
+        infra
+            .backends()
+            .iter()
+            .map(|b| b.stored_bytes().bytes())
+            .sum()
+    }
+
+    #[test]
+    fn sweep_deletes_nothing_when_a_meta_cell_fails_to_decode() {
+        let cluster = ScaliaCluster::builder().datacenters(1).build();
+        let infra = cluster.infra().clone();
+        let db = infra.database();
+        let key = ObjectKey::new("c", "newer-format.bin");
+        cluster
+            .put(&key, vec![5u8; 50_000], "application/x-tar", rule(), None)
+            .unwrap();
+
+        // Rewrite the object's only `meta` cell in a shape this build cannot
+        // decode — as metadata written by a newer format would look. The
+        // cell still names the object's chunks; the sweep cannot see them.
+        let row = key.row_key();
+        let mut value = db
+            .get_latest(DatacenterId::new(0), &row, "meta")
+            .unwrap()
+            .value;
+        if let serde_json::Value::Object(map) = &mut value {
+            map.insert("size".to_string(), serde_json::json!("unknown"));
+        }
+        db.put(&row, "meta", value, infra.next_timestamp()).unwrap();
+        db.prune_old_versions(&row, "meta");
+        let stored = stored_total(&infra);
+
+        let report = sweep_orphan_chunks(&infra);
+        assert_eq!(report.orphans_deleted, 0, "the sweep must fail closed");
+        assert_eq!(report.undecodable_cells, 1);
+        assert!(report.refused());
+        assert_eq!(stored_total(&infra), stored);
+    }
+
+    #[test]
+    fn sweep_deletes_nothing_while_a_metadata_node_is_down() {
+        let cluster = ScaliaCluster::builder().datacenters(2).build();
+        let infra = cluster.infra().clone();
+        let db = infra.database().clone();
+        let engine = cluster.engine(0);
+        let key = ObjectKey::new("c", "overwritten.bin");
+        engine
+            .put(
+                &key,
+                Bytes::from(vec![1u8; 40_000]),
+                "application/x-tar",
+                rule(),
+                None,
+            )
+            .unwrap();
+
+        // Node 1 misses the overwrite: the newest version lives only on
+        // node 0, and the old version's chunks are already gone.
+        db.nodes()[1].set_up(false);
+        let fresh = Bytes::from(vec![2u8; 40_000]);
+        engine
+            .put(&key, fresh.clone(), "application/x-tar", rule(), None)
+            .unwrap();
+
+        // Node 0 is down during the sweep; node 1 only knows the old version.
+        db.nodes()[0].set_up(false);
+        db.nodes()[1].set_up(true);
+        let report = sweep_orphan_chunks(&infra);
+        assert_eq!(report.orphans_deleted, 0, "the sweep must fail closed");
+        assert_eq!(report.nodes_down, 1);
+        assert!(report.refused());
+
+        db.nodes()[0].set_up(true);
+        db.anti_entropy();
+        cluster.caches().iter().for_each(|c| c.clear());
+        assert_eq!(engine.get(&key).unwrap(), fresh);
     }
 
     #[test]

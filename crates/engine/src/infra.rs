@@ -178,8 +178,8 @@ pub struct Infrastructure {
     observed_writes: Mutex<HashMap<ProviderId, DecayingHistogram>>,
     /// Stripe size of the streaming put pipeline, in bytes.
     stripe_size_bytes: AtomicU64,
-    /// Payload size above which `Engine::put` routes through the streaming
-    /// stripe pipeline instead of the classic single-stripe path.
+    /// Payload size above which `Engine::put` streams the payload in
+    /// stripes instead of landing it as one stripe.
     streaming_threshold_bytes: AtomicU64,
     /// Retries spent re-attempting `record_object_class` after a transient
     /// statistics failure on the write path.
@@ -203,9 +203,8 @@ pub struct Infrastructure {
 pub const DEFAULT_STRIPE_SIZE_BYTES: u64 = 512 * 1024;
 
 /// Default auto-streaming threshold of `Engine::put`: payloads strictly
-/// larger than this take the staged stripe pipeline; smaller payloads keep
-/// the classic single-stripe layout (bit-identical to the pre-streaming
-/// format).
+/// larger than this take the staged stripe pipeline; smaller payloads land
+/// as one stripe.
 pub const DEFAULT_STREAMING_THRESHOLD_BYTES: u64 = 2 * 1024 * 1024;
 
 impl Infrastructure {

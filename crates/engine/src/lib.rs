@@ -34,11 +34,12 @@
 //! * [`optimizer`] — leader election, sharding of the recently-accessed
 //!   object set across engines, trend detection and migration execution
 //!   (§III-A3).
-//! * [`streaming`] — the staged stripe pipeline: streaming writes that
-//!   encode stripe `k + 1` while stripe `k`'s chunks are in flight, the
-//!   multipart/append API (`begin_put` / `put_part` / `complete_put`) with
-//!   a single-transaction commit of the assembled stripe map, and range
-//!   reads that fetch only the covering stripes.
+//! * [`streaming`] — the write pipeline: the one landing ladder every
+//!   stripe of every put goes through, streaming writes that encode stripe
+//!   `k + 1` while stripe `k`'s chunks are in flight, the multipart/append
+//!   API (`begin_put` / `put_part` / `complete_put`) with a
+//!   single-transaction commit of the assembled stripe map, stripe-by-stripe
+//!   re-placement, and range reads that fetch only the covering stripes.
 //! * [`repair`] — active repair of chunks lost to a provider outage
 //!   (§IV-E).
 //! * [`cluster`] — the multi-datacenter deployment facade and its builder.

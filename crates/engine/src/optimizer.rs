@@ -153,9 +153,7 @@ struct MemberDigest {
 ///
 /// `1|rfp0|rfp1|rfp2|rfp3|rfp4|m|size|written_secs|ttl_bits-or-n|p0,p1,…|rule name`
 pub(crate) fn optimizer_digest(meta: &ObjectMeta) -> serde_json::Value {
-    // `provider_set()` is the sorted union across stripes; for classic
-    // single-stripe objects it equals the sorted chunk provider list, so
-    // pre-streaming digests are bit-identical.
+    // `provider_set()` is the sorted union across stripes.
     let providers: Vec<u32> = meta.striping.provider_set().iter().map(|p| p.0).collect();
     let rfp = GroupKey::rule_fingerprint(&meta.rule);
     let providers = providers
@@ -226,9 +224,7 @@ impl MemberDigest {
     /// the digest column existed), keeping the deserialised metadata for
     /// the gate.
     fn from_meta(row_key: String, meta: ObjectMeta) -> MemberDigest {
-        // `provider_set()` (sorted union across stripes) so striped objects
-        // synthesise a non-empty placement; classic single-stripe objects
-        // yield the same sorted provider list as before.
+        // `provider_set()`: the sorted union across stripes.
         let providers: Vec<u32> = meta.striping.provider_set().iter().map(|p| p.0).collect();
         MemberDigest {
             row_key,
@@ -731,10 +727,9 @@ impl PeriodicOptimizer {
             };
             partial.placements_recomputed += 1;
 
-            // `provider_set()` so striped objects price their real current
-            // footprint (the top-level chunk list is empty for them); for
-            // classic objects the sorted set is the same provider multiset
-            // and `MigrationPlan::changes_placement` compares sets anyway.
+            // `provider_set()`: every stripe's providers, the object's real
+            // current footprint (`MigrationPlan::changes_placement` compares
+            // sets anyway).
             let current_providers: Vec<_> = meta
                 .striping
                 .provider_set()
@@ -891,8 +886,7 @@ impl PeriodicOptimizer {
         outcome.recomputed = true;
 
         // Current placement and its expected cost over the same window —
-        // via `provider_set()` so striped objects (empty top-level chunk
-        // list) price their real footprint.
+        // via `provider_set()`, every stripe's providers.
         let current_providers: Vec<_> = meta
             .striping
             .provider_set()
@@ -1200,11 +1194,10 @@ mod tests {
         let after = cluster.engine(0).read_metadata(&key).unwrap();
         if report.migrations_executed > 0 {
             assert!(
-                !after
-                    .striping
+                !after.striping.stripes[0]
                     .providers()
                     .iter()
-                    .eq(before.striping.providers().iter())
+                    .eq(before.striping.stripes[0].providers().iter())
                     || after.striping.m != before.striping.m
             );
             assert_eq!(after.striping.m, 1, "hot object should be mirrored");
@@ -1252,8 +1245,7 @@ mod tests {
         );
         assert!(report.bytes_migrated > 0);
         let meta = cluster.engine(0).read_metadata(&key).unwrap();
-        let names: Vec<String> = meta
-            .striping
+        let names: Vec<String> = meta.striping.stripes[0]
             .providers()
             .iter()
             .filter_map(|id| cluster.infra().catalog().get(*id))

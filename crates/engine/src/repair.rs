@@ -263,35 +263,27 @@ pub fn queue_entries(infra: &Infrastructure) -> Result<Vec<(String, RepairQueueE
         .collect())
 }
 
-/// Reachability and worst-case availability of a (possibly striped)
-/// striping. Each stripe of a striped object is its own `m`-of-`n` code
-/// group, so the object's durability is its *worst* stripe's — one degraded
-/// stripe degrades the whole object. Returns whether every chunk of every
-/// stripe sits on a catalog-available provider, plus the minimum achieved
-/// availability probability across stripes (a single-stripe object is its
-/// own one view).
+/// Reachability and worst-case availability of a striping. Each stripe is
+/// its own `m`-of-`n` code group, so the object's durability is its *worst*
+/// stripe's — one degraded stripe degrades the whole object. Returns
+/// whether every chunk of every stripe sits on a catalog-available
+/// provider, plus the minimum achieved availability probability across
+/// stripes.
 fn striping_health(
     catalog: &scalia_providers::catalog::ProviderCatalog,
     striping: &scalia_types::object::StripingMeta,
 ) -> (bool, f64) {
-    let views: Vec<scalia_types::object::StripingMeta> = if striping.is_striped() {
-        (0..striping.stripe_count())
-            .map(|i| striping.stripe_view(i))
-            .collect()
-    } else {
-        vec![striping.clone()]
-    };
     let mut all_reachable = true;
     let mut worst = f64::INFINITY;
-    for view in &views {
-        let reachable: Vec<_> = view
+    for stripe in &striping.stripes {
+        let reachable: Vec<_> = stripe
             .chunks
             .iter()
             .filter(|c| catalog.is_available(c.provider))
             .filter_map(|c| catalog.get(c.provider))
             .collect();
-        all_reachable &= reachable.len() == view.chunks.len();
-        worst = worst.min(get_availability(&reachable, view.m).probability());
+        all_reachable &= reachable.len() == stripe.chunks.len();
+        worst = worst.min(get_availability(&reachable, stripe.m).probability());
     }
     (all_reachable, worst)
 }
@@ -453,9 +445,7 @@ pub fn repair_provider(
                 .and_then(|cells| cells.last())
                 .and_then(|cell| serde_json::from_value::<ObjectMeta>(cell.value.clone()).ok())
         })
-        // `provider_set()`, not the top-level chunk list: a striped object
-        // references its providers per stripe, and an outage scan that only
-        // looked at the (empty) top-level list would never repair one.
+        // Every stripe's providers, not just the first stripe's.
         .filter(|meta| meta.striping.provider_set().contains(&failed_provider))
         .collect();
 
@@ -514,7 +504,7 @@ mod tests {
         // Fail a provider that actually holds chunks.
         let victim = {
             let meta = engine.read_metadata(&keys[0]).unwrap();
-            meta.striping.chunks[0].provider
+            meta.striping.stripes[0].chunks[0].provider
         };
         infra.set_provider_down(victim, true);
 
@@ -531,7 +521,10 @@ mod tests {
         cluster.caches().iter().for_each(|c| c.clear());
         for key in &keys {
             let meta = engine.read_metadata(key).unwrap();
-            assert!(meta.striping.chunks.iter().all(|c| c.provider != victim));
+            assert!(meta.striping.stripes[0]
+                .chunks
+                .iter()
+                .all(|c| c.provider != victim));
             assert_eq!(cluster.get(key).unwrap().len(), 500_000);
         }
     }
@@ -559,7 +552,7 @@ mod tests {
                 .put(key, vec![9u8; 300_000], "application/x-tar", rule(), None)
                 .unwrap();
         }
-        let victim = engine.read_metadata(&keys[0]).unwrap().striping.chunks[0].provider;
+        let victim = engine.read_metadata(&keys[0]).unwrap().striping.stripes[0].chunks[0].provider;
 
         // Down during [60, 61) and again during [61, 62): the flap spans the
         // hour-60→61 sampling-period boundary exactly.
@@ -607,7 +600,10 @@ mod tests {
         cluster.caches().iter().for_each(|c| c.clear());
         for key in &keys {
             let meta = engine.read_metadata(key).unwrap();
-            assert!(meta.striping.chunks.iter().all(|c| c.provider != victim));
+            assert!(meta.striping.stripes[0]
+                .chunks
+                .iter()
+                .all(|c| c.provider != victim));
             assert_eq!(cluster.get(key).unwrap().len(), 300_000);
         }
     }
@@ -627,7 +623,12 @@ mod tests {
             .catalog()
             .all()
             .into_iter()
-            .find(|p| !meta.striping.chunks.iter().any(|c| c.provider == p.id))
+            .find(|p| {
+                !meta.striping.stripes[0]
+                    .chunks
+                    .iter()
+                    .any(|c| c.provider == p.id)
+            })
             .map(|p| p.id);
         if let Some(unused) = unused {
             infra.set_provider_down(unused, true);
@@ -651,7 +652,7 @@ mod tests {
         // Take down every provider but one chunk holder: no feasible
         // replacement placement exists (and the object cannot even be
         // re-read at threshold), so every repair attempt fails.
-        let holders: Vec<ProviderId> = meta.striping.providers();
+        let holders: Vec<ProviderId> = meta.striping.stripes[0].providers();
         for p in infra.catalog().all() {
             if p.id != holders[1] {
                 infra.set_provider_down(p.id, true);
@@ -731,7 +732,7 @@ mod tests {
 
         // Same incident as the dead-letter test: every provider but one
         // chunk holder down, so repairs fail until the attempt cap.
-        let holders: Vec<ProviderId> = meta.striping.providers();
+        let holders: Vec<ProviderId> = meta.striping.stripes[0].providers();
         for p in infra.catalog().all() {
             if p.id != holders[1] {
                 infra.set_provider_down(p.id, true);
@@ -790,7 +791,9 @@ mod tests {
         assert_eq!(report.dead_lettered, 0);
         assert!(queue_entries(&infra).unwrap().is_empty(), "entry settled");
         let repaired = engine.read_metadata(&key).unwrap();
-        assert!(!repaired.striping.providers().contains(&holders[0]));
+        assert!(!repaired.striping.stripes[0]
+            .providers()
+            .contains(&holders[0]));
         assert_eq!(engine.get(&key).unwrap().len(), 150_000);
     }
 
@@ -808,11 +811,15 @@ mod tests {
                 .put(key, vec![5u8; 400_000], "application/x-tar", rule(), None)
                 .unwrap();
         }
-        let victim = engine.read_metadata(&keys[0]).unwrap().striping.chunks[0].provider;
+        let victim = engine.read_metadata(&keys[0]).unwrap().striping.stripes[0].chunks[0].provider;
         infra.set_provider_down(victim, true);
         for key in &keys {
             let meta = engine.read_metadata(key).unwrap();
-            if meta.striping.chunks.iter().any(|c| c.provider == victim) {
+            if meta.striping.stripes[0]
+                .chunks
+                .iter()
+                .any(|c| c.provider == victim)
+            {
                 enqueue(&infra, key, "provider-outage").unwrap();
             }
         }

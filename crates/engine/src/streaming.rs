@@ -1,56 +1,61 @@
-//! The staged stripe pipeline: streaming writes, range reads and the
-//! multipart/append API.
+//! The write pipeline — one landing ladder for every object — plus range
+//! reads and the multipart/append API.
 //!
-//! A classic [`Engine::put`] holds the whole payload (and its full encoded
-//! footprint) resident while the chunks fan out — fine for photos, hopeless
-//! for backups. This module restructures the large-object data path around
-//! fixed-size **stripes** ([`crate::infra::Infrastructure::stripe_size_bytes`]):
+//! Every object is a stripe map ([`StripingMeta`]) of one or more stripes,
+//! and every stripe of every write lands through one ladder
+//! (`Ladder::land`):
 //!
-//! * **Streaming put** — [`Engine::put`] auto-routes payloads above the
-//!   threshold ([`crate::infra::Infrastructure::streaming_threshold_bytes`])
-//!   through a [`MultipartUpload`] that feeds one stripe at a time. The
-//!   pipeline is staged: stripe `k + 1` is *encoded* while stripe `k`'s
-//!   chunks are *in flight* ([`rayon::join`] overlaps the CPU-bound encode
-//!   with the provider-bound upload), so peak transient buffering is
-//!   O(stripe), never O(object). The object checksum accumulates through an
-//!   incremental MD5 ([`scalia_types::md5::Md5`]) — the full payload is
-//!   never resident in this module.
+//! * **One-stripe put** — [`Engine::put`] of a payload at or below the
+//!   streaming threshold
+//!   ([`crate::infra::Infrastructure::streaming_threshold_bytes`]), and a
+//!   multipart upload that never filled a stripe, encode the payload as a
+//!   single stripe and land it.
+//! * **Streaming put** — larger payloads are fed through a
+//!   [`MultipartUpload`] one fixed-size stripe at a time
+//!   ([`crate::infra::Infrastructure::stripe_size_bytes`]). The pipeline is
+//!   staged: stripe `k + 1` is *encoded* while stripe `k`'s chunks are *in
+//!   flight* ([`rayon::join`] overlaps the CPU-bound encode with the
+//!   provider-bound upload), so peak transient buffering is O(stripe), never
+//!   O(object). The object checksum accumulates through an incremental MD5
+//!   ([`scalia_types::md5::Md5`]).
 //! * **Multipart / append** — [`Engine::begin_put`], [`MultipartUpload::put_part`]
 //!   and [`MultipartUpload::complete_put`] expose the same pipeline to
 //!   callers that produce data incrementally. Parts may be any size; stripes
-//!   seal whenever a stripe's worth of bytes has accumulated. The assembled
-//!   stripe map commits in **one** metastore transaction
+//!   seal whenever a stripe's worth of bytes has accumulated. Every put
+//!   commits in **one** metastore transaction
 //!   ([`Engine::commit_metadata_with_debt`]) under the row commit lock, so a
-//!   crash anywhere before [`MultipartUpload::complete_put`] returns leaves
-//!   the previous object version fully intact and at most some orphaned
-//!   stripe chunks for [`crate::gc::sweep_orphan_chunks`].
+//!   crash anywhere before the commit leaves the previous object version
+//!   fully intact and at most some orphaned chunks for
+//!   [`crate::gc::sweep_orphan_chunks`].
+//! * **Migration** — [`Engine::replace_placement`] moves an object stripe by
+//!   stripe, so a migration's resident working set is O(stripe) too.
 //! * **Range reads** — [`Engine::get_range`] serves `[offset, offset+len)`
 //!   by fetching only the covering stripes (each still a hedged
 //!   `m`-of-`n` race over the cheapest providers), via
 //!   [`crate::chunk_io::fetch_range`].
 //!
-//! # Per-stripe durability semantics
+//! # The landing ladder
 //!
-//! Every stripe lands with the same machinery as a classic put: parallel
-//! upload with abort-on-first-failure and rollback, bounded re-placement
-//! (capped by [`crate::engine::WRITE_ATTEMPTS`]) excluding the failed
-//! provider, and — once re-placement is exhausted — a *degraded* tolerant
-//! landing accepted iff `k ≥ m` chunks survive **and** the surviving
-//! providers still clear the rule's availability floor. Degraded stripes
-//! accumulate into one durability debt recorded (with its repair-queue
-//! entry) atomically with the commit, exactly like a degraded classic put;
-//! the repair path migrates striped objects stripe by stripe and its
-//! full-width commit settles the debt.
+//! A stripe lands by parallel upload with abort-on-first-failure and
+//! rollback, bounded re-placement (capped by
+//! [`crate::engine::WRITE_ATTEMPTS`]) excluding the failed provider, and —
+//! once re-placement is exhausted — a *degraded* tolerant landing accepted
+//! iff `k ≥ m` chunks survive **and** the surviving providers still clear
+//! the rule's availability floor. Degraded stripes accumulate into one
+//! durability debt recorded (with its repair-queue entry) atomically with
+//! the commit; the repair path migrates the object and its full-width
+//! commit settles the debt.
 //!
-//! # Stripe chunk keys
+//! # Chunk keys
 //!
-//! Each landing *attempt* of each stripe uses a fresh storage key
-//! (`{base}.s{i}` nominally, `{base}.s{i}.r{attempt}` on retries): a failed
-//! attempt's rollback may have postponed a chunk delete on a provider that
-//! flapped down mid-rollback, and that delete fires unconditionally on
-//! recovery — a retry reusing the same keys could land a committed chunk
-//! exactly where the pending delete will strike. The committed key is
-//! recorded per stripe in [`StripeMeta::skey`].
+//! Each landing *attempt* uses a fresh storage key: a failed attempt's
+//! rollback may have postponed a chunk delete on a provider that flapped
+//! down mid-rollback, and that delete fires unconditionally on recovery — a
+//! retry reusing the same keys could land a committed chunk exactly where
+//! the pending delete will strike. `KeyScheme` names the attempts: a
+//! one-stripe object mints a fresh version per attempt, a multi-stripe
+//! object salts its per-stripe key. The committed key is recorded per
+//! stripe in [`StripeMeta::skey`].
 
 use crate::chunk_io::{self, HedgeConfig};
 use crate::engine::{Engine, WRITE_ATTEMPTS};
@@ -65,7 +70,7 @@ use scalia_types::error::{Result, ScaliaError};
 use scalia_types::ids::ProviderId;
 use scalia_types::md5::{md5_hex, Md5};
 use scalia_types::object::{
-    ObjectKey, ObjectMeta, ObjectVersionId, StripeMap, StripeMeta, StripingMeta,
+    ChunkLocation, ObjectKey, ObjectMeta, ObjectVersionId, StripeMeta, StripingMeta,
 };
 use scalia_types::rules::StorageRule;
 use scalia_types::size::ByteSize;
@@ -90,18 +95,82 @@ struct EncodedStripe {
     encoded: EncodedObject,
     /// Plaintext length of the stripe.
     len: u64,
-    /// MD5 of the stripe plaintext (verified on every stripe read).
+    /// MD5 of the stripe plaintext.
     checksum: String,
 }
 
-/// The storage key of one landing attempt of one stripe: nominally
-/// `{base}.s{index}`, salted `.r{attempt}` on retries (see the module docs
-/// on why reusing keys across attempts is unsafe).
-fn stripe_skey(base: &str, index: usize, attempt: usize) -> String {
-    if attempt == 0 {
-        format!("{base}.s{index}")
-    } else {
-        format!("{base}.s{index}.r{attempt}")
+impl EncodedStripe {
+    /// The record of this stripe once `chunks` landed under `skey`.
+    fn landed(&self, chunks: Vec<ChunkLocation>, skey: String) -> StripeMeta {
+        StripeMeta {
+            chunks,
+            m: self.placement.m,
+            len: self.len,
+            checksum: self.checksum.clone(),
+            skey,
+        }
+    }
+}
+
+/// A stripe at its providers: its record, the version it landed under, and
+/// its landed / wanted chunk counts for debt accounting.
+struct Landed {
+    stripe: StripeMeta,
+    version: ObjectVersionId,
+    have: u64,
+    want: u64,
+}
+
+/// How the landing attempts of one object name their storage keys (see the
+/// module docs on why every attempt needs a fresh key). Key naming is where
+/// a one-stripe object differs from a multi-stripe one on the write side.
+#[derive(Clone, Copy)]
+enum KeyScheme<'a> {
+    /// A one-stripe object: every attempt, the degraded one included, mints
+    /// a fresh version and stores chunk `j` at
+    /// `{MD5(container|key|version)}.{j}`.
+    OneStripe,
+    /// Stripe `i` of a multi-stripe object stored under one version: chunk
+    /// `j` at `{base}.s{i}.{j}`, salted `{base}.s{i}.r{attempt}.{j}` on
+    /// retries.
+    Striped {
+        version: ObjectVersionId,
+        base: &'a str,
+    },
+}
+
+impl KeyScheme<'_> {
+    /// Names attempt `attempt` of stripe `stripe`: the version it lands
+    /// under and the storage key of its chunks.
+    fn name(
+        self,
+        engine: &Engine,
+        key: &ObjectKey,
+        stripe: usize,
+        attempt: usize,
+    ) -> (ObjectVersionId, String) {
+        match self {
+            KeyScheme::OneStripe => {
+                let version = engine.infra().next_version(&key.row_key());
+                (version, StripingMeta::storage_key(key, version))
+            }
+            KeyScheme::Striped { version, base } if attempt == 0 => {
+                (version, format!("{base}.s{stripe}"))
+            }
+            KeyScheme::Striped { version, base } => {
+                (version, format!("{base}.s{stripe}.r{attempt}"))
+            }
+        }
+    }
+}
+
+/// The stripe map of an object version stored under `skey`.
+fn stripe_map(skey: String, stripe_size: u64, stripes: Vec<StripeMeta>) -> StripingMeta {
+    StripingMeta {
+        skey,
+        m: stripes.first().map_or(1, |s| s.m),
+        stripe_size,
+        stripes,
     }
 }
 
@@ -150,8 +219,8 @@ pub struct MultipartUpload<E: Borrow<Engine> = Arc<Engine>> {
     /// The placement the previous stripe sealed with — the fallback when the
     /// placement search turns infeasible mid-stream (e.g. the failure
     /// detector dropped a provider after earlier stripes landed degraded):
-    /// like the classic degraded write, later stripes keep targeting the
-    /// original set and let the tolerant landing decide.
+    /// later stripes keep targeting the original set and let the tolerant
+    /// landing decide.
     last_placement: Option<Placement>,
     /// The encoded stripe whose upload overlaps the next seal.
     in_hand: Option<EncodedStripe>,
@@ -251,8 +320,7 @@ impl Engine {
     /// The streaming write path [`Engine::put`] routes large payloads
     /// through: feeds the payload stripe by stripe into a multipart upload,
     /// so the *pipeline's* transient buffering (plaintext + encoded) stays
-    /// O(stripe) regardless of object size. The committed metadata carries
-    /// the full stripe map; the object checksum equals the classic path's
+    /// O(stripe) regardless of object size. The object checksum is the
     /// whole-payload MD5.
     pub(crate) fn put_streaming(
         &self,
@@ -269,9 +337,9 @@ impl Engine {
         while offset < data.len() {
             let end = (offset + step).min(data.len());
             if let Err(err) = upload.put_part(&data[offset..end]) {
-                // Mirror the classic path's failed-put cleanup — except for
-                // injected crashes, whose debris must stay for the GC sweep
-                // exactly as a real crash would leave it.
+                // Roll back the landed stripes — except after an injected
+                // crash, whose debris must stay for the GC sweep exactly as a
+                // real crash would leave it.
                 if !is_injected_crash(&err) {
                     upload.abort_put();
                 }
@@ -283,12 +351,11 @@ impl Engine {
     }
 
     /// Reads the byte range `[offset, offset + len)` of an object, fetching
-    /// only what the range needs: the covering stripes of a striped object
-    /// (each a hedged `m`-of-`n` race), or the single chunk set — decoded
-    /// through the systematic range fast path — of a classic one. The
-    /// result equals `get(key)[offset..offset+len]` clamped to the object's
-    /// end; an empty or past-EOF range yields empty bytes. A cached object
-    /// is sliced in memory without provider traffic.
+    /// only the covering stripes (each a hedged `m`-of-`n` race, a partial
+    /// stripe decoded through the systematic range fast path). The result
+    /// equals `get(key)[offset..offset+len]` clamped to the object's end; an
+    /// empty or past-EOF range yields empty bytes. A cached object is sliced
+    /// in memory without provider traffic.
     pub fn get_range(&self, key: &ObjectKey, offset: u64, len: u64) -> Result<Bytes> {
         let row_key = key.row_key();
         if let Some(data) = self.local_cache().get(&row_key) {
@@ -334,78 +401,139 @@ impl Engine {
         Err(last_err)
     }
 
-    /// Migrates a striped object to `new_placement` stripe by stripe: each
-    /// stripe is fetched (hedged), re-encoded for the new placement and
-    /// uploaded under fresh per-stripe keys, keeping the resident working
-    /// set O(stripe). The commit is the same conditional (version-validated)
-    /// commit as a classic migration — and, being full-width, settles any
-    /// degraded-write debt atomically.
-    pub(crate) fn replace_placement_striped(
+    /// Lands `data` as a one-stripe object and commits it: the write path
+    /// of a plain [`Engine::put`] at or below the streaming threshold and of
+    /// a multipart upload that never filled a stripe. `checksum` is the MD5
+    /// of `data`, which is both the object and the stripe checksum.
+    pub(crate) fn put_one_stripe(
+        &self,
+        key: &ObjectKey,
+        data: &[u8],
+        checksum: String,
+        mime: &str,
+        rule: StorageRule,
+        ttl_hint_hours: Option<f64>,
+    ) -> Result<ObjectMeta> {
+        let size = ByteSize::from_bytes(data.len() as u64);
+        let class = ObjectClass::of(mime, size);
+        let usage = self.predict_usage(&class, size, ttl_hint_hours);
+        let placement = self.place_excluding(&rule, &class, &usage, &[])?;
+        let encoded = encode_object(data, placement.erasure_params())?;
+        let ladder = Ladder {
+            engine: self,
+            key,
+            rule: &rule,
+            class: &class,
+            usage: &usage,
+            keys: KeyScheme::OneStripe,
+        };
+        let landed = ladder.land(EncodedStripe {
+            index: 0,
+            placement,
+            encoded,
+            len: size.bytes(),
+            checksum: checksum.clone(),
+        })?;
+        let meta = ObjectMeta {
+            key: key.clone(),
+            version: landed.version,
+            mime: mime.to_string(),
+            size,
+            checksum,
+            rule,
+            written_at: self.infra().now(),
+            ttl_hint_hours,
+            striping: stripe_map(
+                landed.stripe.skey.clone(),
+                size.bytes(),
+                vec![landed.stripe],
+            ),
+        };
+        self.commit_put(&meta, landed.have, landed.want)?;
+        Ok(meta)
+    }
+
+    /// Moves an object to a new placement stripe by stripe: each stripe is
+    /// fetched (hedged), re-encoded for the new `(m, n)` and uploaded under
+    /// fresh keys, so the resident working set stays O(stripe). There is no
+    /// re-placement on failure — the caller chose this placement
+    /// deliberately; a failed provider fails the migration (the optimiser
+    /// retries the object next cycle) after the stripes already landed are
+    /// rolled back. Returns the new metadata.
+    ///
+    /// The commit is **conditional** (`Engine::commit_replacement`): the
+    /// re-coded payload is only valid for the version that was read, so if
+    /// a client write (or another migration) committed a newer version in
+    /// the meantime, the new chunks are rolled back and
+    /// [`ScaliaError::Conflict`] is returned. Being full-width, the commit
+    /// settles any degraded-write debt atomically.
+    pub fn replace_placement(
         &self,
         key: &ObjectKey,
         new_placement: &Placement,
-        old_meta: ObjectMeta,
     ) -> Result<ObjectMeta> {
-        let map =
-            old_meta.striping.stripes.as_ref().ok_or_else(|| {
-                ScaliaError::Internal("striped migration of unstriped object".into())
-            })?;
-        let version = self.infra().next_version(&key.row_key());
-        let base_skey = StripingMeta::storage_key(key, version);
+        let old_meta = self.read_metadata(key)?;
+        let old = &old_meta.striping;
         let config = HedgeConfig::default();
         let params = new_placement.erasure_params();
-
-        let mut new_stripes: Vec<StripeMeta> = Vec::with_capacity(map.stripes.len());
-        let mut land_err: Option<ScaliaError> = None;
-        for (i, old_stripe) in map.stripes.iter().enumerate() {
-            let landed = chunk_io::fetch_stripe(self.infra(), &old_meta.striping, i, &config)
-                .and_then(|plain| {
-                    let encoded = encode_object(&plain, params)?;
-                    let skey = stripe_skey(&base_skey, i, 0);
-                    let striping = chunk_io::upload_encoded(
-                        self.infra(),
-                        new_placement,
-                        &skey,
-                        &encoded,
-                        &config,
-                    )
-                    .map_err(ScaliaError::from)?;
-                    Ok(StripeMeta {
-                        chunks: striping.chunks,
-                        m: striping.m,
-                        len: old_stripe.len,
-                        // The plaintext is unchanged (fetch_stripe verified
-                        // it against this very digest).
-                        checksum: old_stripe.checksum.clone(),
-                        skey,
-                    })
-                });
-            match landed {
-                Ok(stripe) => new_stripes.push(stripe),
-                Err(err) => {
-                    land_err = Some(err);
-                    break;
-                }
-            }
-        }
-        let striping = StripingMeta::striped(
-            base_skey,
-            new_placement.m,
-            StripeMap {
-                stripe_size: map.stripe_size,
-                stripes: new_stripes,
+        // A multi-stripe object's stripes all land under one version, minted
+        // before the first stripe moves.
+        let striped = (old.stripes.len() > 1).then(|| {
+            let version = self.infra().next_version(&key.row_key());
+            (version, StripingMeta::storage_key(key, version))
+        });
+        let keys = match &striped {
+            Some((version, base)) => KeyScheme::Striped {
+                version: *version,
+                base,
             },
-        );
-        if let Some(err) = land_err {
+            None => KeyScheme::OneStripe,
+        };
+
+        let mut version = None;
+        let mut new_stripes: Vec<StripeMeta> = Vec::with_capacity(old.stripes.len());
+        let moved = old
+            .stripes
+            .iter()
+            .enumerate()
+            .try_for_each(|(i, old_stripe)| {
+                let plain = chunk_io::fetch_stripe(self.infra(), old, i, &config)?;
+                let encoded = encode_object(&plain, params)?;
+                let (landed_version, skey) = keys.name(self, key, i, 0);
+                let chunks = chunk_io::upload_encoded(
+                    self.infra(),
+                    new_placement,
+                    &skey,
+                    &encoded,
+                    &config,
+                )?;
+                version = Some(landed_version);
+                new_stripes.push(StripeMeta {
+                    chunks,
+                    m: new_placement.m,
+                    len: old_stripe.len,
+                    // The plaintext is unchanged.
+                    checksum: old_stripe.checksum.clone(),
+                    skey,
+                });
+                Ok::<_, ScaliaError>(())
+            });
+        if let Err(err) = moved {
             // Roll back the stripes that already landed on the new
             // placement; the old version is untouched.
-            chunk_io::delete_chunks(self.infra(), &striping);
+            chunk_io::delete_chunks(self.infra(), &new_stripes);
             return Err(err);
         }
+        let Some(version) = version else {
+            return Err(ScaliaError::Internal(format!("{key} has no stripes")));
+        };
         let new_meta = ObjectMeta {
             version,
-            written_at: old_meta.written_at,
-            striping,
+            striping: stripe_map(
+                StripingMeta::storage_key(key, version),
+                old.stripe_size,
+                new_stripes,
+            ),
             ..old_meta.clone()
         };
         self.commit_replacement(key, old_meta.version, &new_meta)?;
@@ -466,9 +594,9 @@ impl<E: Borrow<Engine>> MultipartUpload<E> {
 
     /// Lands the tail, commits the assembled stripe map in one metastore
     /// transaction and returns the new metadata. An upload whose payload
-    /// never filled a single stripe falls back to the classic single-stripe
-    /// path — its on-provider layout is bit-identical to a plain
-    /// [`Engine::put`] of the same bytes.
+    /// never filled a single stripe lands as a one-stripe object — its
+    /// on-provider layout is exactly that of a plain [`Engine::put`] of the
+    /// same bytes.
     pub fn complete_put(mut self) -> Result<ObjectMeta> {
         if self.failed {
             return Err(ScaliaError::Internal(
@@ -476,13 +604,14 @@ impl<E: Borrow<Engine>> MultipartUpload<E> {
             ));
         }
         if self.stripes.is_empty() && self.in_hand.is_none() {
-            // Everything fits one classic stripe and nothing has been
-            // uploaded yet: delegate wholesale. `put_single`, not `put` —
-            // re-routing could recurse when stripe size > threshold.
-            let data = Bytes::from(std::mem::take(&mut self.buffer));
-            return self.engine().put_single(
+            // Nothing sealed, nothing uploaded: the payload is one stripe.
+            // `put_one_stripe`, not `put` — re-routing could recurse when
+            // the stripe size exceeds the threshold.
+            let data = std::mem::take(&mut self.buffer);
+            return self.engine().put_one_stripe(
                 &self.key,
-                data,
+                &data,
+                self.md5.clone().finalize_hex(),
                 &self.mime,
                 self.rule.clone(),
                 self.ttl_hint_hours,
@@ -507,15 +636,6 @@ impl<E: Borrow<Engine>> MultipartUpload<E> {
         }
 
         let size = ByteSize::from_bytes(self.total_len);
-        let final_class = ObjectClass::of(&self.mime, size);
-        let striping = StripingMeta::striped(
-            self.base_skey.clone(),
-            self.stripes.first().map(|s| s.m).unwrap_or(1),
-            StripeMap {
-                stripe_size: self.stripe_size as u64,
-                stripes: std::mem::take(&mut self.stripes),
-            },
-        );
         let meta = ObjectMeta {
             key: self.key.clone(),
             version: self.version,
@@ -525,57 +645,22 @@ impl<E: Borrow<Engine>> MultipartUpload<E> {
             rule: self.rule.clone(),
             written_at: self.engine().infra().now(),
             ttl_hint_hours: self.ttl_hint_hours,
-            striping,
+            striping: stripe_map(
+                self.base_skey.clone(),
+                self.stripe_size as u64,
+                std::mem::take(&mut self.stripes),
+            ),
         };
-
-        // Same crash point as the classic path: every chunk is at its
-        // provider, nothing is committed.
-        self.engine().infra().crash_point("put::after-upload")?;
-
-        // One journaled transaction: metadata, optimiser digest, container
-        // index, debt + repair entry (or debt clearance), MVCC prunes —
-        // under the row commit lock, atomically with the invalidation.
-        let debt = (self.want_total > self.have_total).then(|| {
-            serde_json::json!({
-                "reason": "degraded-write",
-                "have": self.have_total,
-                "want": self.want_total,
-            })
-        });
-        let deprecated = {
-            let _commit = self.engine().infra().lock_row_commit(&meta.row_key());
-            let deprecated = self.engine().commit_metadata_with_debt(&meta, debt)?;
-            self.engine().invalidate_everywhere(&meta.row_key());
-            deprecated
-        };
-        self.engine().infra().crash_point("put::after-commit")?;
-        for striping in &deprecated {
-            self.engine().delete_chunks(striping);
-        }
         self.engine()
-            .record_class_with_retry(&self.key.row_key(), final_class.id());
-        self.engine()
-            .log_access(&self.key, AccessKind::Write, size, size);
+            .commit_put(&meta, self.have_total, self.want_total)?;
         Ok(meta)
     }
 
     /// Abandons the upload, deleting every stripe chunk that already landed
     /// (the in-hand stripe was never uploaded). Nothing was committed, so
     /// readers never saw any of it.
-    pub fn abort_put(mut self) {
-        self.in_hand = None;
-        if self.stripes.is_empty() {
-            return;
-        }
-        let striping = StripingMeta::striped(
-            self.base_skey.clone(),
-            self.stripes.first().map(|s| s.m).unwrap_or(1),
-            StripeMap {
-                stripe_size: self.stripe_size as u64,
-                stripes: std::mem::take(&mut self.stripes),
-            },
-        );
-        chunk_io::delete_chunks(self.engine().infra(), &striping);
+    pub fn abort_put(self) {
+        chunk_io::delete_chunks(self.engine().infra(), &self.stripes);
     }
 
     /// Folds the pipeline's current transient footprint into the high-water
@@ -613,12 +698,8 @@ impl<E: Borrow<Engine>> MultipartUpload<E> {
             plain.len() * placement.providers.len().max(1) / placement.m.max(1) as usize;
         self.note_buffered(plain.len() + encoded_estimate);
 
-        let engine = self.engine.borrow();
-        let rule = &self.rule;
-        let class = &self.class;
-        let usage = &self.usage;
-        let base_skey = &self.base_skey;
         let prev = self.in_hand.take();
+        let ladder = self.ladder();
 
         let encode = |placement: Placement, plain: Vec<u8>| -> Result<EncodedStripe> {
             let checksum = md5_hex(&plain);
@@ -634,26 +715,14 @@ impl<E: Borrow<Engine>> MultipartUpload<E> {
 
         let (landed, fresh) = match prev {
             Some(prev) => {
-                let (landed, fresh) = rayon::join(
-                    || land_stripe(engine, rule, class, usage, base_skey, prev),
-                    || encode(placement, plain),
-                );
+                let (landed, fresh) =
+                    rayon::join(|| ladder.land(prev), || encode(placement, plain));
                 (Some(landed), fresh?)
             }
             None => (None, encode(placement, plain)?),
         };
         if let Some(landed) = landed {
-            let (stripe, have, want) = landed?;
-            self.have_total += have;
-            self.want_total += want;
-            self.stripes.push(stripe);
-            // Chaos crash point: a stripe's chunks are durable at providers
-            // but the stripe map is not committed — a crash here must leave
-            // the previous object version intact and only orphan bytes for
-            // the GC sweep.
-            self.engine()
-                .infra()
-                .crash_point("put_part::after-stripe")?;
+            self.record(landed?)?;
         }
         self.in_hand = Some(fresh);
         self.note_buffered(0);
@@ -662,174 +731,154 @@ impl<E: Borrow<Engine>> MultipartUpload<E> {
 
     /// Lands one encoded stripe and records it.
     fn land(&mut self, stripe: EncodedStripe) -> Result<()> {
-        let (meta, have, want) = land_stripe(
-            self.engine.borrow(),
-            &self.rule,
-            &self.class,
-            &self.usage,
-            &self.base_skey,
-            stripe,
-        )?;
-        self.have_total += have;
-        self.want_total += want;
-        self.stripes.push(meta);
-        self.engine()
-            .infra()
-            .crash_point("put_part::after-stripe")?;
-        Ok(())
+        let landed = self.ladder().land(stripe)?;
+        self.record(landed)
     }
-}
 
-/// Uploads one encoded stripe with the classic put's retry ladder: parallel
-/// upload with rollback, bounded re-placement excluding the failed provider
-/// (re-encoding only when the `(m, n)` geometry changes — the systematic
-/// data shards reconstruct the plaintext in memory, no provider reads), and
-/// the degraded tolerant fallback once attempts are exhausted. Returns the
-/// landed stripe plus its `(have, want)` chunk counts for debt accounting.
-fn land_stripe(
-    engine: &Engine,
-    rule: &StorageRule,
-    class: &ObjectClass,
-    usage: &PredictedUsage,
-    base_skey: &str,
-    mut stripe: EncodedStripe,
-) -> Result<(StripeMeta, u64, u64)> {
-    let config = HedgeConfig::default();
-    let mut excluded: Vec<ProviderId> = Vec::new();
-    loop {
-        let attempt = excluded.len();
-        let skey = stripe_skey(base_skey, stripe.index, attempt);
-        match chunk_io::upload_encoded(
-            engine.infra(),
-            &stripe.placement,
-            &skey,
-            &stripe.encoded,
-            &config,
-        ) {
-            Ok(striping) => {
-                let want = striping.chunks.len() as u64;
-                return Ok((
-                    StripeMeta {
-                        chunks: striping.chunks,
-                        m: striping.m,
-                        len: stripe.len,
-                        checksum: stripe.checksum,
-                        skey,
-                    },
-                    want,
-                    want,
-                ));
-            }
-            Err(failure) => {
-                let Some(provider) = failure.provider else {
-                    return Err(failure.error);
-                };
-                if excluded.len() + 1 >= WRITE_ATTEMPTS {
-                    // Attempts exhausted: degrade on this placement or
-                    // surface the upload error.
-                    return land_degraded(
-                        engine,
-                        rule,
-                        &stripe,
-                        base_skey,
-                        attempt + 1,
-                        failure.error,
-                    );
-                }
-                excluded.push(provider);
-                match engine.place_excluding(rule, class, usage, &excluded) {
-                    Ok(next) => {
-                        if next.erasure_params() != stripe.placement.erasure_params() {
-                            let plain = decode_object(
-                                &stripe.encoded.chunks,
-                                stripe.encoded.params,
-                                stripe.encoded.original_len,
-                            )?;
-                            stripe.encoded = encode_object(&plain, next.erasure_params())?;
-                        }
-                        stripe.placement = next;
-                    }
-                    // Re-placement found nothing: degrade on the placement
-                    // whose upload just failed.
-                    Err(_) => {
-                        return land_degraded(
-                            engine,
-                            rule,
-                            &stripe,
-                            base_skey,
-                            attempt + 1,
-                            failure.error,
-                        )
-                    }
-                }
-            }
+    /// Records a landed stripe.
+    fn record(&mut self, landed: Landed) -> Result<()> {
+        self.have_total += landed.have;
+        self.want_total += landed.want;
+        self.stripes.push(landed.stripe);
+        // Chaos crash point: a stripe's chunks are durable at providers but
+        // the stripe map is not committed — a crash here must leave the
+        // previous object version intact and only orphan bytes for the GC
+        // sweep.
+        self.engine().infra().crash_point("put_part::after-stripe")
+    }
+
+    /// The landing ladder of this upload's stripes.
+    fn ladder(&self) -> Ladder<'_> {
+        Ladder {
+            engine: self.engine(),
+            key: &self.key,
+            rule: &self.rule,
+            class: &self.class,
+            usage: &self.usage,
+            keys: KeyScheme::Striped {
+                version: self.version,
+                base: &self.base_skey,
+            },
         }
     }
 }
 
-/// The degraded landing of one stripe — the per-stripe mirror of the
-/// classic put's degraded write: every chunk attempted tolerantly, the
-/// partial landing accepted iff `k ≥ m` chunks survive and the surviving
-/// providers still meet the rule's availability floor; rolled back (and
-/// `original` surfaced) otherwise.
-fn land_degraded(
-    engine: &Engine,
-    rule: &StorageRule,
-    stripe: &EncodedStripe,
-    base_skey: &str,
-    attempt: usize,
-    original: ScaliaError,
-) -> Result<(StripeMeta, u64, u64)> {
-    let config = HedgeConfig::default();
-    let skey = stripe_skey(base_skey, stripe.index, attempt);
-    let Ok(partial) = chunk_io::upload_encoded_tolerant(
-        engine.infra(),
-        &stripe.placement,
-        &skey,
-        &stripe.encoded,
-        &config,
-    ) else {
-        return Err(original);
-    };
-    let want = stripe.placement.providers.len() as u64;
-    let have = partial.striping.chunks.len() as u64;
-    if have == want {
-        // Everything landed after all (the earlier failure was transient):
-        // a full-width stripe, no debt.
-        return Ok((
-            StripeMeta {
-                chunks: partial.striping.chunks,
-                m: partial.striping.m,
-                len: stripe.len,
-                checksum: stripe.checksum.clone(),
-                skey,
-            },
-            have,
-            want,
-        ));
+/// What every landing attempt of one object needs: the rule and predicted
+/// usage the re-placement search prices with, and how attempts name their
+/// storage keys.
+struct Ladder<'a> {
+    engine: &'a Engine,
+    key: &'a ObjectKey,
+    rule: &'a StorageRule,
+    class: &'a ObjectClass,
+    usage: &'a PredictedUsage,
+    keys: KeyScheme<'a>,
+}
+
+impl Ladder<'_> {
+    /// Lands one encoded stripe: parallel upload with rollback, bounded
+    /// re-placement excluding the failed provider (re-encoding only when
+    /// the `(m, n)` geometry changes — the systematic data shards
+    /// reconstruct the plaintext in memory, no provider reads), and the
+    /// degraded tolerant landing once attempts are exhausted.
+    fn land(&self, mut stripe: EncodedStripe) -> Result<Landed> {
+        let config = HedgeConfig::default();
+        let mut excluded: Vec<ProviderId> = Vec::new();
+        loop {
+            let attempt = excluded.len();
+            let (version, skey) = self.keys.name(self.engine, self.key, stripe.index, attempt);
+            let failure = match chunk_io::upload_encoded(
+                self.engine.infra(),
+                &stripe.placement,
+                &skey,
+                &stripe.encoded,
+                &config,
+            ) {
+                Ok(chunks) => {
+                    let want = chunks.len() as u64;
+                    return Ok(Landed {
+                        stripe: stripe.landed(chunks, skey),
+                        version,
+                        have: want,
+                        want,
+                    });
+                }
+                Err(failure) => failure,
+            };
+            let Some(provider) = failure.provider else {
+                return Err(failure.error);
+            };
+            if excluded.len() + 1 >= WRITE_ATTEMPTS {
+                // Attempts exhausted: degrade on this placement or surface
+                // the upload error.
+                return self.land_degraded(&stripe, attempt + 1, failure.error);
+            }
+            excluded.push(provider);
+            match self
+                .engine
+                .place_excluding(self.rule, self.class, self.usage, &excluded)
+            {
+                Ok(next) => {
+                    if next.erasure_params() != stripe.placement.erasure_params() {
+                        let plain = decode_object(
+                            &stripe.encoded.chunks,
+                            stripe.encoded.params,
+                            stripe.encoded.original_len,
+                        )?;
+                        stripe.encoded = encode_object(&plain, next.erasure_params())?;
+                    }
+                    stripe.placement = next;
+                }
+                // Re-placement found nothing: degrade on the placement whose
+                // upload just failed.
+                Err(_) => return self.land_degraded(&stripe, attempt + 1, failure.error),
+            }
+        }
     }
-    let surviving: Vec<_> = partial
-        .striping
-        .chunks
-        .iter()
-        .filter_map(|c| engine.infra().catalog().get(c.provider))
-        .collect();
-    let availability = get_availability(&surviving, partial.striping.m);
-    if surviving.len() == partial.striping.chunks.len() && availability.meets(rule.availability) {
-        Ok((
-            StripeMeta {
-                chunks: partial.striping.chunks,
-                m: partial.striping.m,
-                len: stripe.len,
-                checksum: stripe.checksum.clone(),
-                skey,
-            },
+
+    /// The degraded landing: every chunk attempted tolerantly, the partial
+    /// landing accepted iff `k ≥ m` chunks survive and the surviving
+    /// providers still meet the rule's availability floor; rolled back (and
+    /// `original` surfaced) otherwise.
+    fn land_degraded(
+        &self,
+        stripe: &EncodedStripe,
+        attempt: usize,
+        original: ScaliaError,
+    ) -> Result<Landed> {
+        let (version, skey) = self.keys.name(self.engine, self.key, stripe.index, attempt);
+        let Ok(partial) = chunk_io::upload_encoded_tolerant(
+            self.engine.infra(),
+            &stripe.placement,
+            &skey,
+            &stripe.encoded,
+            &HedgeConfig::default(),
+        ) else {
+            return Err(original);
+        };
+        let want = stripe.placement.providers.len() as u64;
+        let have = partial.chunks.len() as u64;
+        // Everything landing after all (the earlier failure was transient)
+        // is a full-width stripe with no debt.
+        if have < want {
+            let surviving: Vec<_> = partial
+                .chunks
+                .iter()
+                .filter_map(|c| self.engine.infra().catalog().get(c.provider))
+                .collect();
+            let availability = get_availability(&surviving, stripe.placement.m);
+            if surviving.len() as u64 != have || !availability.meets(self.rule.availability) {
+                // Not durable enough to acknowledge: roll the landing back.
+                let rolled_back = stripe.landed(partial.chunks, skey);
+                chunk_io::delete_chunks(self.engine.infra(), std::slice::from_ref(&rolled_back));
+                return Err(original);
+            }
+        }
+        Ok(Landed {
+            stripe: stripe.landed(partial.chunks, skey),
+            version,
             have,
             want,
-        ))
-    } else {
-        // Not durable enough to acknowledge: roll the landing back.
-        chunk_io::delete_chunks(engine.infra(), &partial.striping);
-        Err(original)
+        })
     }
 }

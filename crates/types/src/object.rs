@@ -116,11 +116,11 @@ pub struct ChunkLocation {
     pub provider: ProviderId,
 }
 
-/// Placement and length of one fixed-size stripe of a striped object.
+/// Placement and length of one stripe of an object.
 ///
 /// Each stripe is erasure-coded independently (its own `m`-of-`n` chunk set,
-/// possibly degraded), so the streaming pipeline can land, repair and
-/// range-read stripes without touching the rest of the object.
+/// possibly degraded), so the write pipeline can land, repair and range-read
+/// stripes without touching the rest of the object.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StripeMeta {
     /// Chunk locations of this stripe, one per provider in its chosen set.
@@ -130,29 +130,74 @@ pub struct StripeMeta {
     /// Plaintext length of the stripe in bytes (only the last stripe may be
     /// shorter than the object's stripe size).
     pub len: u64,
-    /// MD5 of the stripe plaintext, verified on every stripe decode.
+    /// MD5 of the stripe plaintext. A one-stripe object's stripe checksum is
+    /// its object checksum.
     pub checksum: String,
-    /// Storage key of this stripe's chunks (`{chunk index}` appended per
-    /// chunk). Nominally `{object skey}.s{stripe index}`, but each landing
-    /// *attempt* salts it further — a rolled-back attempt may have postponed
-    /// chunk deletes on flapping providers, and the retry must never land a
-    /// committed chunk where a pending delete will strike.
+    /// Storage key of this stripe's chunks (`.{chunk index}` appended per
+    /// chunk). Each landing *attempt* uses a fresh key — a rolled-back
+    /// attempt may have postponed chunk deletes on flapping providers, and
+    /// the retry must never land a committed chunk where a pending delete
+    /// will strike.
     pub skey: String,
 }
 
-/// The stripe map of a multi-stripe object: uniform stripe size plus the
-/// per-stripe placements, in stripe order.
+impl StripeMeta {
+    /// Width of the erasure code the chunks must be decoded under: for a
+    /// full stripe this is `n`; for a *degraded* stripe (landed with k < n
+    /// chunks) the surviving chunks keep their original erasure indices, so
+    /// the width is the highest surviving index + 1. Decoding under this
+    /// width is exact — the systematic Reed–Solomon encode-matrix row of
+    /// chunk `i` depends only on `(i, m)`, never on the total width it was
+    /// encoded with.
+    pub fn code_width(&self) -> u32 {
+        self.chunks
+            .iter()
+            .map(|c| c.index + 1)
+            .max()
+            .unwrap_or(0)
+            .max(self.chunks.len() as u32)
+    }
+
+    /// The providers holding chunks, in chunk-index order.
+    pub fn providers(&self) -> Vec<ProviderId> {
+        self.chunks.iter().map(|c| c.provider).collect()
+    }
+
+    /// The per-provider storage key of chunk `index`.
+    pub fn chunk_key(&self, index: u32) -> String {
+        format!("{}.{}", self.skey, index)
+    }
+}
+
+/// Striping metadata of an object version (Fig. 11): the storage key, the
+/// reconstruction threshold `m` and where each chunk of each stripe is.
+///
+/// Every object is a stripe map of one or more stripes. An object written
+/// whole is one stripe whose chunks sit at `{skey}.{index}`; an object
+/// streamed in stripes stores stripe `i` at `{skey}.s{i}.{index}` (salted
+/// `.r{attempt}` on retried landings). Metadata lives only as long as the
+/// process that wrote it, so there is no older on-disk shape to read.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct StripeMap {
+pub struct StripingMeta {
+    /// Storage key `MD5(container | key | UUID)` of the object version.
+    pub skey: String,
+    /// Reconstruction threshold of the placement the object was written
+    /// with (each stripe carries its own exact `m`).
+    pub m: u32,
     /// Nominal stripe size in bytes; every stripe except possibly the last
     /// has exactly this plaintext length.
     pub stripe_size: u64,
-    /// Per-stripe metadata, index `i` covers bytes
+    /// Per-stripe metadata, never empty; index `i` covers bytes
     /// `[i * stripe_size, i * stripe_size + stripes[i].len)`.
     pub stripes: Vec<StripeMeta>,
 }
 
-impl StripeMap {
+impl StripingMeta {
+    /// Number of stripes.
+    pub fn stripe_count(&self) -> usize {
+        self.stripes.len()
+    }
+
     /// Total plaintext length across all stripes.
     pub fn total_len(&self) -> u64 {
         self.stripes.iter().map(|s| s.len).sum()
@@ -174,215 +219,26 @@ impl StripeMap {
         let last = (end.div_ceil(self.stripe_size) as usize).min(self.stripes.len());
         first..last
     }
-}
-
-/// Striping metadata of an object version (Fig. 11): where each chunk is,
-/// the reconstruction threshold `m`, and the storage key under which chunks
-/// are stored at the providers.
-///
-/// Versioning: single-stripe objects (the pre-streaming layout) carry
-/// `stripes: None` and serialize with exactly the original three fields, so
-/// existing metadata deserializes unchanged and new single-stripe metadata
-/// stays bit-identical to the pre-streaming layout. Multi-stripe objects
-/// written by the streaming pipeline add a `stripes` key; for those the
-/// top-level `chunks` is empty and each stripe records its own placement.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StripingMeta {
-    /// Chunk locations, one per provider in the chosen set. Empty for
-    /// multi-stripe objects (see [`StripingMeta::stripes`]).
-    pub chunks: Vec<ChunkLocation>,
-    /// Reconstruction threshold: any `m` chunks rebuild the object.
-    pub m: u32,
-    /// Storage key `MD5(container | key | UUID)` shared by all chunks
-    /// (each provider key is suffixed with the chunk index).
-    pub skey: String,
-    /// Stripe map for objects written by the streaming pipeline; `None`
-    /// for the classic single-stripe layout.
-    pub stripes: Option<StripeMap>,
-}
-
-// Manual impls rather than derive: the derive shim always emits every field,
-// but a `stripes: null` key would change the serialized form of every
-// pre-streaming object. Omitting the key when `None` keeps single-stripe
-// metadata bit-identical to the pre-PR layout (the `Map` is a `BTreeMap`,
-// so insertion order does not affect the output).
-impl serde::Serialize for StripingMeta {
-    fn serialize(&self) -> serde::Value {
-        let mut map = serde::Map::new();
-        map.insert("chunks".to_string(), self.chunks.serialize());
-        map.insert("m".to_string(), self.m.serialize());
-        map.insert("skey".to_string(), self.skey.serialize());
-        if let Some(stripes) = &self.stripes {
-            map.insert("stripes".to_string(), stripes.serialize());
-        }
-        serde::Value::Object(map)
-    }
-}
-
-impl serde::Deserialize for StripingMeta {
-    fn deserialize(value: &serde::Value) -> Result<Self, serde::Error> {
-        let null = serde::Value::Null;
-        let chunks = Vec::<ChunkLocation>::deserialize(value.get("chunks").unwrap_or(&null))?;
-        let m = u32::deserialize(value.get("m").unwrap_or(&null))?;
-        let skey = String::deserialize(value.get("skey").unwrap_or(&null))?;
-        let stripes = match value.get("stripes") {
-            None => None,
-            Some(v) if v.is_null() => None,
-            Some(v) => Some(StripeMap::deserialize(v)?),
-        };
-        Ok(StripingMeta {
-            chunks,
-            m,
-            skey,
-            stripes,
-        })
-    }
-}
-
-impl StripingMeta {
-    /// Classic single-stripe striping (the pre-streaming layout).
-    pub fn single(chunks: Vec<ChunkLocation>, m: u32, skey: String) -> Self {
-        StripingMeta {
-            chunks,
-            m,
-            skey,
-            stripes: None,
-        }
-    }
-
-    /// Multi-stripe striping written by the streaming pipeline. The
-    /// top-level chunk list is empty; `m` records the placement threshold
-    /// for observability (each stripe carries its own exact `m`).
-    pub fn striped(skey: String, m: u32, map: StripeMap) -> Self {
-        StripingMeta {
-            chunks: Vec::new(),
-            m,
-            skey,
-            stripes: Some(map),
-        }
-    }
-
-    /// Whether this object uses the multi-stripe layout.
-    pub fn is_striped(&self) -> bool {
-        self.stripes.is_some()
-    }
-
-    /// Number of stripes (1 for the classic layout).
-    pub fn stripe_count(&self) -> usize {
-        match &self.stripes {
-            Some(map) => map.stripes.len(),
-            None => 1,
-        }
-    }
-
-    /// A single-stripe view of stripe `i`, shaped exactly like a classic
-    /// striping so the chunk I/O machinery (upload, hedged fetch, delete,
-    /// rollback) works per stripe unchanged. Stripe chunk keys are
-    /// `{stripe skey}.{index}` (nominally `{skey}.s{i}.{index}`), disjoint
-    /// from classic keys `{skey}.{index}`. For a classic striping, stripe 0
-    /// is the striping itself.
-    pub fn stripe_view(&self, i: usize) -> StripingMeta {
-        match &self.stripes {
-            Some(map) => StripingMeta {
-                chunks: map.stripes[i].chunks.clone(),
-                m: map.stripes[i].m,
-                skey: map.stripes[i].skey.clone(),
-                stripes: None,
-            },
-            None => {
-                debug_assert_eq!(i, 0);
-                self.clone()
-            }
-        }
-    }
 
     /// Every provider storage key referenced by this striping, across all
     /// stripes — the reference set the orphan-chunk GC must preserve.
     pub fn all_chunk_keys(&self) -> Vec<String> {
-        match &self.stripes {
-            Some(map) => {
-                let mut keys = Vec::new();
-                for stripe in &map.stripes {
-                    for chunk in &stripe.chunks {
-                        keys.push(format!("{}.{}", stripe.skey, chunk.index));
-                    }
-                }
-                keys
-            }
-            None => self
-                .chunks
-                .iter()
-                .map(|c| self.chunk_key(c.index))
-                .collect(),
-        }
-    }
-
-    /// All `(provider, chunk key)` pairs referenced by this striping.
-    pub fn all_chunk_refs(&self) -> Vec<(ProviderId, String)> {
-        match &self.stripes {
-            Some(map) => {
-                let mut refs = Vec::new();
-                for stripe in &map.stripes {
-                    for chunk in &stripe.chunks {
-                        refs.push((chunk.provider, format!("{}.{}", stripe.skey, chunk.index)));
-                    }
-                }
-                refs
-            }
-            None => self
-                .chunks
-                .iter()
-                .map(|c| (c.provider, self.chunk_key(c.index)))
-                .collect(),
-        }
+        self.stripes
+            .iter()
+            .flat_map(|s| s.chunks.iter().map(|c| s.chunk_key(c.index)))
+            .collect()
     }
 
     /// The distinct providers referenced anywhere in this striping, sorted.
-    /// For a classic striping with distinct providers this equals the
-    /// sorted chunk-order provider list.
     pub fn provider_set(&self) -> Vec<ProviderId> {
-        let mut providers: Vec<ProviderId> = match &self.stripes {
-            Some(map) => map
-                .stripes
-                .iter()
-                .flat_map(|s| s.chunks.iter().map(|c| c.provider))
-                .collect(),
-            None => self.providers(),
-        };
+        let mut providers: Vec<ProviderId> = self
+            .stripes
+            .iter()
+            .flat_map(|s| s.chunks.iter().map(|c| c.provider))
+            .collect();
         providers.sort();
         providers.dedup();
         providers
-    }
-
-    /// Total number of chunks (`n` of the erasure code).
-    pub fn n(&self) -> u32 {
-        self.chunks.len() as u32
-    }
-
-    /// Width of the erasure code the chunks must be decoded under: for a
-    /// full striping this is `n`; for a *degraded* striping (a write that
-    /// landed with k < n chunks) the surviving chunks keep their original
-    /// erasure indices, so the width is the highest surviving index + 1.
-    /// Decoding under this width is exact — the systematic Reed–Solomon
-    /// encode-matrix row of chunk `i` depends only on `(i, m)`, never on the
-    /// total width it was encoded with.
-    pub fn code_width(&self) -> u32 {
-        self.chunks
-            .iter()
-            .map(|c| c.index + 1)
-            .max()
-            .unwrap_or(0)
-            .max(self.chunks.len() as u32)
-    }
-
-    /// The providers holding chunks, in chunk-index order.
-    pub fn providers(&self) -> Vec<ProviderId> {
-        self.chunks.iter().map(|c| c.provider).collect()
-    }
-
-    /// The per-provider storage key of chunk `index`.
-    pub fn chunk_key(&self, index: u32) -> String {
-        format!("{}.{}", self.skey, index)
     }
 
     /// Computes the storage key for an object version, as in §III-D1:
@@ -454,38 +310,38 @@ mod tests {
         assert_eq!(a.to_hex().len(), 32);
     }
 
+    fn loc(index: u32, provider: u32) -> ChunkLocation {
+        ChunkLocation {
+            index,
+            provider: ProviderId::new(provider),
+        }
+    }
+
     #[test]
     fn striping_meta_accessors() {
         let key = ObjectKey::new("c", "k");
         let version = ObjectVersionId::next(&key.row_key());
         let skey = StripingMeta::storage_key(&key, version);
-        let meta = StripingMeta::single(
-            vec![
-                ChunkLocation {
-                    index: 0,
-                    provider: ProviderId::new(2),
-                },
-                ChunkLocation {
-                    index: 1,
-                    provider: ProviderId::new(5),
-                },
-                ChunkLocation {
-                    index: 2,
-                    provider: ProviderId::new(7),
-                },
-            ],
-            2,
-            skey.clone(),
-        );
-        assert_eq!(meta.n(), 3);
+        let stripe = StripeMeta {
+            chunks: vec![loc(0, 2), loc(1, 5), loc(2, 7)],
+            m: 2,
+            len: 10,
+            checksum: "c".to_string(),
+            skey: skey.clone(),
+        };
+        let meta = StripingMeta {
+            skey: skey.clone(),
+            m: 2,
+            stripe_size: 10,
+            stripes: vec![stripe],
+        };
+        assert_eq!(meta.stripes[0].chunks.len(), 3);
         assert_eq!(
-            meta.providers(),
+            meta.stripes[0].providers(),
             vec![ProviderId::new(2), ProviderId::new(5), ProviderId::new(7)]
         );
-        assert_eq!(meta.chunk_key(1), format!("{skey}.1"));
-        assert!(!meta.is_striped());
+        assert_eq!(meta.stripes[0].chunk_key(1), format!("{skey}.1"));
         assert_eq!(meta.stripe_count(), 1);
-        assert_eq!(meta.stripe_view(0), meta);
         assert_eq!(
             meta.all_chunk_keys(),
             vec![
@@ -500,59 +356,49 @@ mod tests {
         );
     }
 
-    fn loc(index: u32, provider: u32) -> ChunkLocation {
-        ChunkLocation {
-            index,
-            provider: ProviderId::new(provider),
-        }
-    }
-
     fn sample_striped() -> StripingMeta {
-        StripingMeta::striped(
-            "abc123".to_string(),
-            2,
-            StripeMap {
-                stripe_size: 100,
-                stripes: vec![
-                    StripeMeta {
-                        chunks: vec![loc(0, 1), loc(1, 2), loc(2, 3)],
-                        m: 2,
-                        len: 100,
-                        checksum: "c0".to_string(),
-                        skey: "abc123.s0".to_string(),
-                    },
-                    StripeMeta {
-                        // Degraded stripe: chunk 1 missing, original indices
-                        // kept; landed on a salted retry skey.
-                        chunks: vec![loc(0, 4), loc(2, 5)],
-                        m: 2,
-                        len: 40,
-                        checksum: "c1".to_string(),
-                        skey: "abc123.s1.r1".to_string(),
-                    },
-                ],
-            },
-        )
+        StripingMeta {
+            skey: "abc123".to_string(),
+            m: 2,
+            stripe_size: 100,
+            stripes: vec![
+                StripeMeta {
+                    chunks: vec![loc(0, 1), loc(1, 2), loc(2, 3)],
+                    m: 2,
+                    len: 100,
+                    checksum: "c0".to_string(),
+                    skey: "abc123.s0".to_string(),
+                },
+                StripeMeta {
+                    // Degraded stripe: chunk 1 missing, original indices
+                    // kept; landed on a salted retry skey.
+                    chunks: vec![loc(0, 4), loc(2, 5)],
+                    m: 2,
+                    len: 40,
+                    checksum: "c1".to_string(),
+                    skey: "abc123.s1.r1".to_string(),
+                },
+            ],
+        }
     }
 
     #[test]
     fn striped_meta_views_and_keys() {
         let meta = sample_striped();
-        assert!(meta.is_striped());
         assert_eq!(meta.stripe_count(), 2);
 
-        let v0 = meta.stripe_view(0);
-        assert_eq!(v0.skey, "abc123.s0");
-        assert_eq!(v0.m, 2);
-        assert_eq!(v0.chunk_key(1), "abc123.s0.1");
-        assert_eq!(v0.code_width(), 3);
+        let s0 = &meta.stripes[0];
+        assert_eq!(s0.skey, "abc123.s0");
+        assert_eq!(s0.m, 2);
+        assert_eq!(s0.chunk_key(1), "abc123.s0.1");
+        assert_eq!(s0.code_width(), 3);
 
-        let v1 = meta.stripe_view(1);
-        assert_eq!(v1.chunks.len(), 2);
+        let s1 = &meta.stripes[1];
+        assert_eq!(s1.chunks.len(), 2);
         // Degraded stripe decodes under the original width, and its chunk
         // keys come from the salted per-stripe skey it landed under.
-        assert_eq!(v1.code_width(), 3);
-        assert_eq!(v1.chunk_key(2), "abc123.s1.r1.2");
+        assert_eq!(s1.code_width(), 3);
+        assert_eq!(s1.chunk_key(2), "abc123.s1.r1.2");
 
         assert_eq!(
             meta.all_chunk_keys(),
@@ -569,45 +415,14 @@ mod tests {
             (1..=5).map(ProviderId::new).collect::<Vec<_>>()
         );
 
-        let map = meta.stripes.as_ref().unwrap();
-        assert_eq!(map.total_len(), 140);
-        assert_eq!(map.stripe_offset(1), 100);
-        assert_eq!(map.covering(0, 140), 0..2);
-        assert_eq!(map.covering(0, 100), 0..1);
-        assert_eq!(map.covering(99, 101), 0..2);
-        assert_eq!(map.covering(100, 140), 1..2);
-        assert_eq!(map.covering(140, 200), 0..0);
-        assert_eq!(map.covering(50, 50), 0..0);
-    }
-
-    /// Single-stripe metadata serializes with exactly the pre-streaming
-    /// three keys — no `stripes` key — and legacy JSON (without the key)
-    /// deserializes to `stripes: None`. This is the bit-compatibility
-    /// contract for every object written before the streaming pipeline.
-    #[test]
-    fn single_stripe_serialization_is_legacy_shaped() {
-        let meta = StripingMeta::single(vec![loc(0, 2), loc(1, 5)], 2, "deadbeef".to_string());
-        let value = serde::Serialize::serialize(&meta);
-        let obj = value.as_object().expect("object");
-        assert_eq!(
-            obj.keys().collect::<Vec<_>>(),
-            vec!["chunks", "m", "skey"],
-            "single-stripe striping must not grow new keys"
-        );
-
-        // Legacy-shaped JSON round-trips to the same struct.
-        let back = <StripingMeta as serde::Deserialize>::deserialize(&value).unwrap();
-        assert_eq!(back, meta);
-        assert!(back.stripes.is_none());
-
-        // An explicit `"stripes": null` (future writers being defensive)
-        // also reads back as None.
-        let mut with_null = obj.clone();
-        with_null.insert("stripes".to_string(), serde::Value::Null);
-        let back =
-            <StripingMeta as serde::Deserialize>::deserialize(&serde::Value::Object(with_null))
-                .unwrap();
-        assert_eq!(back, meta);
+        assert_eq!(meta.total_len(), 140);
+        assert_eq!(meta.stripe_offset(1), 100);
+        assert_eq!(meta.covering(0, 140), 0..2);
+        assert_eq!(meta.covering(0, 100), 0..1);
+        assert_eq!(meta.covering(99, 101), 0..2);
+        assert_eq!(meta.covering(100, 140), 1..2);
+        assert_eq!(meta.covering(140, 200), 0..0);
+        assert_eq!(meta.covering(50, 50), 0..0);
     }
 
     #[test]

@@ -67,8 +67,7 @@ fn main() {
                 None,
             )
             .unwrap();
-        let names: Vec<String> = meta
-            .striping
+        let names: Vec<String> = meta.striping.stripes[0]
             .providers()
             .iter()
             .filter_map(|id| cluster.infra().catalog().get(*id).map(|p| p.name))

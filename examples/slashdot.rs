@@ -27,8 +27,7 @@ fn main() {
 
     let label_of = |cluster: &ScaliaCluster| {
         let meta = cluster.engine(0).read_metadata(&key).unwrap();
-        let names: Vec<String> = meta
-            .striping
+        let names: Vec<String> = meta.striping.stripes[0]
             .providers()
             .iter()
             .filter_map(|id| cluster.infra().catalog().get(*id).map(|p| p.name))

@@ -142,7 +142,7 @@ fn stored_at_providers(infra: &Infrastructure) -> u64 {
 /// `ceil(size / m)` bytes each (one byte minimum, for empty payloads).
 fn expected_footprint(meta: &ObjectMeta) -> u64 {
     let m = meta.striping.m as u64;
-    let n = meta.striping.chunks.len() as u64;
+    let n = meta.striping.stripes[0].chunks.len() as u64;
     (meta.size.bytes().div_ceil(m)).max(1) * n
 }
 
@@ -185,16 +185,19 @@ fn degraded_put_commits_with_debt_and_backfills_within_one_repair_cycle() {
         .put(&key, data.clone(), "application/x-tar", wide_rule(), None)
         .unwrap();
     assert_eq!(
-        meta.striping.chunks.len(),
+        meta.striping.stripes[0].chunks.len(),
         4,
         "one provider down ⇒ four of five chunks land"
     );
     assert!(
-        meta.striping.chunks.iter().all(|c| c.provider != victim),
+        meta.striping.stripes[0]
+            .chunks
+            .iter()
+            .all(|c| c.provider != victim),
         "no chunk may claim to live on the dead provider"
     );
     assert_eq!(
-        meta.striping.code_width(),
+        meta.striping.stripes[0].code_width(),
         5,
         "the striping remembers the full encode width"
     );
@@ -218,7 +221,11 @@ fn degraded_put_commits_with_debt_and_backfills_within_one_repair_cycle() {
     assert_eq!(drain.repaired, 1, "the backfill runs in the first cycle");
 
     let healed = latest_meta(&infra, &key).unwrap();
-    assert_eq!(healed.striping.chunks.len(), 5, "back to full stripe width");
+    assert_eq!(
+        healed.striping.stripes[0].chunks.len(),
+        5,
+        "back to full stripe width"
+    );
     assert!(!has_debt(&infra, &key), "the debt column is settled");
     assert!(repair::queue_entries(&infra).unwrap().is_empty());
     clear_caches(&cluster);
@@ -252,7 +259,7 @@ fn transport_storm_degrades_write_then_backfill_converges() {
         infra.backend(stormed).unwrap().pending_transport_errors(),
         0
     );
-    assert_eq!(meta.striping.chunks.len(), 4);
+    assert_eq!(meta.striping.stripes[0].chunks.len(), 4);
     assert!(has_debt(&infra, &key));
     assert!(
         infra.catalog().is_available(stormed),
@@ -266,7 +273,12 @@ fn transport_storm_degrades_write_then_backfill_converges() {
     // backfills.
     cluster.tick(SimTime::from_hours(1));
     assert_eq!(cluster.last_repair_drain().repaired, 1);
-    assert_eq!(latest_meta(&infra, &key).unwrap().striping.chunks.len(), 5);
+    assert_eq!(
+        latest_meta(&infra, &key).unwrap().striping.stripes[0]
+            .chunks
+            .len(),
+        5
+    );
     assert!(!has_debt(&infra, &key));
     infra.retry_pending_deletes();
     assert_exact_footprint(&infra, &[key], "after storm backfill");
@@ -296,7 +308,7 @@ fn detector_config_threshold_one_trips_on_first_soft_error_and_reprobe_restores(
     infra.set_fault_plan(None);
     infra.backend(stormed).unwrap().inject_transport_errors(0);
 
-    assert_eq!(meta.striping.chunks.len(), 4, "degraded landing");
+    assert_eq!(meta.striping.stripes[0].chunks.len(), 4, "degraded landing");
     assert!(
         !infra.catalog().is_available(stormed),
         "threshold 1 must trip the detector on the first soft error"
@@ -310,7 +322,12 @@ fn detector_config_threshold_one_trips_on_first_soft_error_and_reprobe_restores(
         "re-probe must restore the recovered provider"
     );
     assert_eq!(cluster.last_repair_drain().repaired, 1);
-    assert_eq!(latest_meta(&infra, &key).unwrap().striping.chunks.len(), 5);
+    assert_eq!(
+        latest_meta(&infra, &key).unwrap().striping.stripes[0]
+            .chunks
+            .len(),
+        5
+    );
     clear_caches(&cluster);
     assert_eq!(cluster.get(&key).unwrap().as_ref(), &data[..]);
 }
@@ -600,8 +617,7 @@ fn chaos_scenario(seed: u64) -> String {
     let mut lines = Vec::new();
     for (name, expected) in &model {
         let meta = latest_meta(&infra, &key_of(name)).unwrap();
-        let mut provider_ids: Vec<u32> = meta
-            .striping
+        let mut provider_ids: Vec<u32> = meta.striping.stripes[0]
             .chunks
             .iter()
             .map(|c| c.provider.index())
@@ -610,9 +626,9 @@ fn chaos_scenario(seed: u64) -> String {
         lines.push(format!(
             "{name} md5={} n={} m={} width={} providers={provider_ids:?} debt={}",
             scalia::types::md5::md5_hex(expected),
-            meta.striping.chunks.len(),
+            meta.striping.stripes[0].chunks.len(),
             meta.striping.m,
-            meta.striping.code_width(),
+            meta.striping.stripes[0].code_width(),
             has_debt(&infra, &key_of(name)),
         ));
     }
@@ -633,11 +649,16 @@ fn chaos_scenario(seed: u64) -> String {
     lines.join("\n")
 }
 
+/// MD5 over the 34 seeds' digests, recorded before the two object layouts
+/// were merged into one. A refactor of the write path must not move it.
+const PINNED_MATRIX_DIGEST: &str = "fb5a74cd6bd79fbb9b5e172aeb66f69a";
+
 #[test]
 fn seed_matrix_is_bit_equal_across_pool_sizes() {
     // 34 seeds × 3 pool sizes = 102 full chaos runs. Each seed's digest must
     // be identical whether the engine's parallel chunk I/O ran on 1, 2 or 8
-    // workers.
+    // workers, and the 34 digests together must equal the pinned outcome.
+    let mut matrix: Vec<String> = Vec::new();
     for seed in 0..34u64 {
         let digests: Vec<String> = POOL_SIZES
             .iter()
@@ -654,5 +675,11 @@ fn seed_matrix_is_bit_equal_across_pool_sizes() {
             digests[0], digests[2],
             "seed {seed}: pools 1 and 8 diverged"
         );
+        matrix.push(digests[0].clone());
     }
+    assert_eq!(
+        scalia::types::md5::md5_hex(matrix.join("\n").as_bytes()),
+        PINNED_MATRIX_DIGEST,
+        "the seed matrix outcome moved"
+    );
 }

@@ -28,7 +28,7 @@ fn rule() -> StorageRule {
 /// chunk holder, computed exactly as the chunk-I/O layer ranks them.
 fn ranked_chunk_providers(cluster: &ScaliaCluster, meta: &ObjectMeta) -> Vec<ProviderId> {
     let striping = &meta.striping;
-    let descriptors: Vec<ProviderDescriptor> = striping
+    let descriptors: Vec<ProviderDescriptor> = striping.stripes[0]
         .chunks
         .iter()
         .filter_map(|c| cluster.infra().catalog().get(c.provider))
@@ -36,7 +36,7 @@ fn ranked_chunk_providers(cluster: &ScaliaCluster, meta: &ObjectMeta) -> Vec<Pro
     let chunk_gb = meta.size.as_gb() / striping.m.max(1) as f64;
     cheapest_read_providers(&descriptors, descriptors.len() as u32, chunk_gb)
         .into_iter()
-        .map(|i| striping.chunks[i].provider)
+        .map(|i| striping.stripes[0].chunks[i].provider)
         .collect()
 }
 
@@ -60,7 +60,7 @@ fn failed_write_is_replaced_and_retried_on_remaining_providers() {
             None,
         )
         .unwrap();
-    let victim = warm_meta.striping.chunks[0].provider;
+    let victim = warm_meta.striping.stripes[0].chunks[0].provider;
 
     // The victim's *backend* dies, but the catalog still lists it, so the
     // cached placement will try it first.
@@ -74,7 +74,10 @@ fn failed_write_is_replaced_and_retried_on_remaining_providers() {
 
     // The write was re-placed off the failed provider…
     assert!(
-        meta.striping.chunks.iter().all(|c| c.provider != victim),
+        meta.striping.stripes[0]
+            .chunks
+            .iter()
+            .all(|c| c.provider != victim),
         "retried write must avoid the failed provider"
     );
     // …the hard failure marked it unavailable (§III-D3)…
@@ -87,7 +90,7 @@ fn failed_write_is_replaced_and_retried_on_remaining_providers() {
     let footprint = |meta: &ObjectMeta| {
         let m = meta.striping.m as u64;
         let shard = meta.size.bytes().div_ceil(m).max(1);
-        shard * meta.striping.chunks.len() as u64
+        shard * meta.striping.stripes[0].chunks.len() as u64
     };
     let stored: u64 = cluster
         .infra()
@@ -114,7 +117,7 @@ fn hedged_read_survives_a_ranked_provider_killed_mid_lifecycle() {
     let meta = engine
         .put(&key, payload.clone().into(), "image/jpeg", rule(), None)
         .unwrap();
-    assert!(meta.striping.chunks.len() as u32 > meta.striping.m);
+    assert!(meta.striping.stripes[0].chunks.len() as u32 > meta.striping.m);
 
     // Kill the provider the read would contact *first* — only its backend,
     // so the read path (not the placement layer) must discover the failure.
@@ -195,7 +198,7 @@ fn any_m_of_n_survivor_subset_reconstructs_the_object() {
             None,
         )
         .unwrap();
-    let providers: Vec<ProviderId> = meta.striping.providers();
+    let providers: Vec<ProviderId> = meta.striping.stripes[0].providers();
     let n = providers.len();
     let m = meta.striping.m as usize;
     assert!(n > m, "needs parity to make the property non-trivial");
@@ -280,10 +283,10 @@ fn stalled_upload_is_hedged_and_the_write_replaced_without_the_straggler() {
             None,
         )
         .unwrap();
-    let victim = warm_meta.striping.chunks[0].provider;
+    let victim = warm_meta.striping.stripes[0].chunks[0].provider;
 
     // Every upload so far fed the observed-write window.
-    for location in &warm_meta.striping.chunks {
+    for location in &warm_meta.striping.stripes[0].chunks {
         assert!(
             cluster
                 .infra()
@@ -313,7 +316,10 @@ fn stalled_upload_is_hedged_and_the_write_replaced_without_the_straggler() {
         )
         .unwrap();
     assert!(
-        meta.striping.chunks.iter().all(|c| c.provider != victim),
+        meta.striping.stripes[0]
+            .chunks
+            .iter()
+            .all(|c| c.provider != victim),
         "the stalled provider must be excluded from the re-placed write"
     );
     // The re-placed object is fully readable.
@@ -335,7 +341,7 @@ fn stalled_upload_is_hedged_and_the_write_replaced_without_the_straggler() {
     // the advertised model. A provider advertising 1 ms but actually
     // writing at ~80 ms gets a realistic deadline.
     let infra = cluster.infra();
-    let probe = warm_meta.striping.chunks[1].provider;
+    let probe = warm_meta.striping.stripes[0].chunks[1].provider;
     let config = HedgeConfig::default();
     let advertised = LatencyModel::new(1, 0, 0, 7); // 1 ms, no jitter
     let cold = write_hedge_deadline_us(infra, probe, &advertised, 100_000, &config);

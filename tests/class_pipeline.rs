@@ -33,8 +33,11 @@ fn placements_of(cluster: &ScaliaCluster, keys: &[ObjectKey]) -> Vec<(u32, Vec<u
     keys.iter()
         .map(|key| {
             let meta = cluster.engine(0).read_metadata(key).unwrap();
-            let mut providers: Vec<u32> =
-                meta.striping.chunks.iter().map(|c| c.provider.0).collect();
+            let mut providers: Vec<u32> = meta.striping.stripes[0]
+                .chunks
+                .iter()
+                .map(|c| c.provider.0)
+                .collect();
             providers.sort_unstable();
             (meta.striping.m, providers)
         })

@@ -80,7 +80,7 @@ fn stored_at_providers(cluster: &ScaliaCluster) -> u64 {
 /// `n` chunks of `ceil(size / m)` bytes (1 byte minimum, as the codec pads).
 fn expected_footprint(meta: &ObjectMeta) -> u64 {
     let m = meta.striping.m as u64;
-    let n = meta.striping.chunks.len() as u64;
+    let n = meta.striping.stripes[0].chunks.len() as u64;
     let shard = (meta.size.bytes().div_ceil(m)).max(1);
     shard * n
 }
@@ -438,6 +438,7 @@ fn slow_provider_writer_reader_stress_stays_consistent() {
         .read_metadata(&keys[0])
         .unwrap()
         .striping
+        .stripes[0]
         .chunks[0]
         .provider;
     let victim_backend = cluster.infra().backend(victim).unwrap();

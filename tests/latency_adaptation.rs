@@ -29,7 +29,7 @@ use scalia::providers::descriptor::ProviderDescriptor;
 use scalia::providers::latency::LatencyModel;
 use scalia::providers::pricing::PricingPolicy;
 use scalia::providers::sla::ProviderSla;
-use scalia::types::size::ByteSize;
+use scalia::types::object::StripeMeta;
 
 /// Reads driven per sampling period — enough to clear the observed-summary
 /// warm-up floor (16 samples) within one period.
@@ -89,7 +89,7 @@ fn weighted_rule() -> StorageRule {
 /// Provider names currently holding the object's chunks.
 fn placement_names(cluster: &ScaliaCluster, key: &ObjectKey) -> Vec<String> {
     let meta = cluster.engine(0).read_metadata(key).unwrap();
-    meta.striping
+    meta.striping.stripes[0]
         .providers()
         .iter()
         .filter_map(|id| cluster.infra().catalog().get(*id))
@@ -291,6 +291,26 @@ fn hedge_infra() -> Arc<Infrastructure> {
     Infrastructure::new(catalog, 1, Duration::HOUR)
 }
 
+/// Encodes `data` for `placement` and uploads it as one stripe under `skey`.
+fn write_stripe(
+    infra: &Infrastructure,
+    placement: &scalia::core::placement::Placement,
+    skey: &str,
+    data: &bytes::Bytes,
+) -> StripeMeta {
+    let encoded = scalia::erasure::codec::encode_object(data, placement.erasure_params()).unwrap();
+    let chunks =
+        chunk_io::upload_encoded(infra, placement, skey, &encoded, &HedgeConfig::default())
+            .unwrap();
+    StripeMeta {
+        chunks,
+        m: placement.m,
+        len: data.len() as u64,
+        checksum: scalia::types::md5::md5_hex(data),
+        skey: skey.to_string(),
+    }
+}
+
 /// Runs the stall-mid-run hedge scenario under one hedging policy and
 /// returns the read-makespan percentile summary: 20 healthy warm-up reads,
 /// then the ranked provider stalls 300 ms and 30 more reads race it.
@@ -301,16 +321,15 @@ fn hedged_read_tail(config: &HedgeConfig) -> scalia::types::latency::LatencySnap
         m: 1,
     };
     let payload = bytes::Bytes::from(vec![3u8; 64 * 1024]);
-    let size = ByteSize::from_bytes(payload.len() as u64);
-    let striping = chunk_io::write_chunks(&infra, &placement, "tail", &payload).unwrap();
+    let striping = write_stripe(&infra, &placement, "tail", &payload);
 
     for _ in 0..20 {
-        chunk_io::fetch_chunks(&infra, &striping, size, config).unwrap();
+        chunk_io::fetch_chunks(&infra, &striping, config).unwrap();
     }
     let a = infra.catalog().all()[0].id;
     infra.backend(a).unwrap().set_stall_us(300_000);
     for _ in 0..30 {
-        chunk_io::fetch_chunks(&infra, &striping, size, config).unwrap();
+        chunk_io::fetch_chunks(&infra, &striping, config).unwrap();
     }
     infra.io_latency_snapshot(StoreOp::Get)
 }
@@ -323,8 +342,7 @@ fn hedge_deadline_tightens_to_observed_p95_after_warmup() {
         m: 1,
     };
     let payload = bytes::Bytes::from(vec![9u8; 64 * 1024]);
-    let size = ByteSize::from_bytes(payload.len() as u64);
-    let striping = chunk_io::write_chunks(&infra, &placement, "warm", &payload).unwrap();
+    let striping = write_stripe(&infra, &placement, "warm", &payload);
 
     let a = infra.catalog().all()[0].clone();
     let config = HedgeConfig::default();
@@ -338,7 +356,7 @@ fn hedge_deadline_tightens_to_observed_p95_after_warmup() {
     // Warm up past the sample floor: flat model, so every read observes
     // exactly 30 ms and the published p95 is exact.
     for _ in 0..20 {
-        chunk_io::fetch_chunks(&infra, &striping, size, &config).unwrap();
+        chunk_io::fetch_chunks(&infra, &striping, &config).unwrap();
     }
     let warm = chunk_io::hedge_deadline_us(&infra, a.id, &a.latency, 64 * 1024, &config);
     assert_eq!(

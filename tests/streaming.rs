@@ -91,22 +91,14 @@ fn stored_at_providers(infra: &Infrastructure) -> u64 {
         .sum()
 }
 
-/// Exact provider footprint of a committed object, stripe-aware: per
-/// stripe (or per single-stripe object), `n` chunks of `ceil(len / m)`
-/// bytes (one byte minimum for empty payloads).
+/// Exact provider footprint of a committed object: per stripe, `n` chunks
+/// of `ceil(len / m)` bytes (one byte minimum for empty payloads).
 fn expected_footprint(meta: &ObjectMeta) -> u64 {
-    match &meta.striping.stripes {
-        Some(map) => map
-            .stripes
-            .iter()
-            .map(|s| (s.len.div_ceil(s.m as u64)).max(1) * s.chunks.len() as u64)
-            .sum(),
-        None => {
-            let m = meta.striping.m as u64;
-            let n = meta.striping.chunks.len() as u64;
-            (meta.size.bytes().div_ceil(m)).max(1) * n
-        }
-    }
+    meta.striping
+        .stripes
+        .iter()
+        .map(|s| (s.len.div_ceil(s.m as u64)).max(1) * s.chunks.len() as u64)
+        .sum()
 }
 
 fn assert_exact_footprint(infra: &Infrastructure, keys: &[ObjectKey], context: &str) {
@@ -135,7 +127,10 @@ fn streamed_put_round_trips_with_whole_object_checksum() {
         .put(&key, data.clone(), "application/x-tar", flex_rule(), None)
         .unwrap();
 
-    assert!(meta.striping.is_striped(), "above threshold ⇒ striped");
+    assert!(
+        meta.striping.stripe_count() > 1,
+        "above threshold ⇒ striped"
+    );
     assert_eq!(meta.striping.stripe_count(), 11);
     assert_eq!(meta.size.bytes(), 10_240);
     assert_eq!(
@@ -143,7 +138,7 @@ fn streamed_put_round_trips_with_whole_object_checksum() {
         md5_hex(&data),
         "the incremental MD5 must equal the whole-payload digest"
     );
-    let map = meta.striping.stripes.as_ref().unwrap();
+    let map = &meta.striping;
     assert_eq!(map.stripe_size, STRIPE);
     assert!(map.stripes[..10].iter().all(|s| s.len == STRIPE));
     assert_eq!(map.stripes[10].len, 240);
@@ -172,7 +167,7 @@ fn streamed_put_round_trips_with_whole_object_checksum() {
             None,
         )
         .unwrap();
-    assert!(!small_meta.striping.is_striped());
+    assert_eq!(small_meta.striping.stripe_count(), 1);
     clear_caches(&cluster);
     assert_eq!(cluster.get(&small_key).unwrap().as_ref(), &small[..]);
 
@@ -288,7 +283,7 @@ fn range_read_fetches_only_the_covering_stripes_chunks() {
     let meta = cluster
         .put(&key, data.clone(), "application/x-tar", flex_rule(), None)
         .unwrap();
-    let map = meta.striping.stripes.as_ref().unwrap();
+    let map = &meta.striping;
     assert_eq!(map.stripes.len(), 20);
     let width = map.stripes[0].chunks.len() as u64;
 
@@ -345,7 +340,7 @@ fn degraded_streamed_put_commits_debt_and_backfills_stripe_by_stripe() {
     let meta = cluster
         .put(&key, data.clone(), "application/x-tar", wide_rule(), None)
         .unwrap();
-    let map = meta.striping.stripes.as_ref().unwrap();
+    let map = &meta.striping;
     assert_eq!(map.stripes.len(), 6);
     for (i, stripe) in map.stripes.iter().enumerate() {
         assert_eq!(stripe.chunks.len(), 4, "stripe {i} lands degraded 4-of-5");
@@ -377,7 +372,7 @@ fn degraded_streamed_put_commits_debt_and_backfills_stripe_by_stripe() {
     cluster.tick(SimTime::from_hours(1));
     assert_eq!(cluster.last_repair_drain().repaired, 1);
     let healed = latest_meta(&infra, &key).unwrap();
-    let healed_map = healed.striping.stripes.as_ref().unwrap();
+    let healed_map = &healed.striping;
     assert!(
         healed_map.stripes.iter().all(|s| s.chunks.len() == 5),
         "every stripe must be back to full width"
@@ -444,7 +439,7 @@ fn multipart_below_one_stripe_falls_back_to_the_classic_layout() {
     upload.put_part(&data[300..]).unwrap();
     let meta = upload.complete_put().unwrap();
     assert!(
-        !meta.striping.is_striped(),
+        meta.striping.stripe_count() == 1,
         "sub-stripe multipart must commit the classic single-stripe layout"
     );
     assert_eq!(meta.checksum, md5_hex(&data));
@@ -576,8 +571,7 @@ fn crash_around_the_commit_is_old_or_new_never_torn() {
         if *commits {
             assert_eq!(meta.striping.stripe_count(), 6);
             assert_eq!(
-                meta.striping.stripes.as_ref().unwrap().stripes[5].len,
-                900,
+                meta.striping.stripes[5].len, 900,
                 "{label}: the tail stripe commits with the map"
             );
         }
@@ -593,15 +587,14 @@ fn crash_around_the_commit_is_old_or_new_never_torn() {
 /// Chunk payload digests of a committed object, in chunk-index order,
 /// fetched straight off the provider backends.
 fn chunk_digests(infra: &Infrastructure, meta: &ObjectMeta) -> Vec<(u32, String)> {
-    let mut out: Vec<(u32, String)> = meta
-        .striping
+    let mut out: Vec<(u32, String)> = meta.striping.stripes[0]
         .chunks
         .iter()
         .map(|c| {
             let bytes = infra
                 .backend(c.provider)
                 .unwrap()
-                .get(&meta.striping.chunk_key(c.index))
+                .get(&meta.striping.stripes[0].chunk_key(c.index))
                 .unwrap();
             (c.index, md5_hex(&bytes))
         })
@@ -649,14 +642,10 @@ fn single_stripe_layout_is_bit_identical_across_paths_and_pool_sizes() {
         let (mp_meta, mp_chunks) = multipart;
 
         for meta in [&classic_meta, &mp_meta] {
-            assert!(!meta.striping.is_striped());
-            // The serialized metadata carries no stripe map — byte-for-byte
-            // the pre-streaming schema.
-            let json = serde_json::to_value(&meta.striping).unwrap();
-            assert!(
-                json.get("stripes").is_none(),
-                "single-stripe striping must serialize without a stripes field"
-            );
+            assert_eq!(meta.striping.stripe_count(), 1);
+            // The one stripe's chunks sit at `{skey}.{index}`, the classic
+            // keys.
+            assert_eq!(meta.striping.stripes[0].skey, meta.striping.skey);
         }
         assert_eq!(classic_meta.checksum, mp_meta.checksum);
         assert_eq!(classic_meta.striping.m, mp_meta.striping.m);
@@ -702,7 +691,7 @@ fn streamed_objects_are_bit_equal_across_pool_sizes() {
                         .unwrap();
                     clear_caches(&cluster);
                     assert_eq!(cluster.get(&key).unwrap().as_ref(), &data[..]);
-                    let map = meta.striping.stripes.as_ref().unwrap();
+                    let map = &meta.striping;
                     let stripe_lines: Vec<String> = map
                         .stripes
                         .iter()
@@ -847,7 +836,7 @@ fn degenerate_ranges_on_classic_objects_fetch_no_chunks() {
         .put(&key, data.clone(), "image/png", flex_rule(), None)
         .unwrap();
     assert!(
-        meta.striping.stripes.is_none(),
+        meta.striping.stripe_count() == 1,
         "object this small must take the classic layout"
     );
     clear_caches(&cluster);
