@@ -43,14 +43,13 @@ use scalia_core::cost::PredictedUsage;
 use scalia_core::placement::{Placement, PlacementEngine};
 use scalia_metastore::journal::JournalOp;
 use scalia_metastore::logagg::{AccessKind, AccessLogRecord, LogAgent};
+use scalia_metastore::model::CellValue;
 use scalia_types::error::{Result, ScaliaError};
 use scalia_types::ids::{DatacenterId, EngineId, ProviderId};
-use scalia_types::object::{ObjectKey, ObjectMeta, ObjectVersionId, StripingMeta};
+use scalia_types::object::{DurabilityDebt, ObjectKey, ObjectMeta, ObjectVersionId, StripingMeta};
 use scalia_types::rules::StorageRule;
 use scalia_types::size::ByteSize;
 use scalia_types::stats::AccessHistory;
-use serde::Deserialize;
-use serde_json::json;
 use std::sync::Arc;
 
 /// Default decision period, in sampling periods, for freshly written objects
@@ -201,13 +200,7 @@ impl Engine {
         // round-trip happens under it. A degraded landing records its
         // durability debt — and the repair queue entry that will backfill
         // it to full width — atomically with the metadata commit.
-        let debt = (want > have).then(|| {
-            json!({
-                "reason": "degraded-write",
-                "have": have,
-                "want": want,
-            })
-        });
+        let debt = (want > have).then_some(DurabilityDebt { have, want });
         let deprecated = {
             let _commit = self.infra.lock_row_commit(&meta.row_key());
             let deprecated = self.commit_metadata_with_debt(meta, debt)?;
@@ -295,54 +288,40 @@ impl Engine {
     }
 
     /// [`Self::commit_metadata`], optionally recording a durability debt.
-    /// The whole commit — metadata, optimiser digest, container index,
-    /// debt column and repair-queue entry (or debt clearance), version
-    /// prunes — is one journaled transaction on the replicated store, so a
-    /// crash at any point replays to either the old or the new placement,
-    /// never a torn mixture.
+    /// The whole commit — the metadata version, container index, debt
+    /// column and repair-queue entry (or debt clearance), version prunes —
+    /// is one journaled transaction on the replicated store, so a crash at
+    /// any point replays to either the old or the new placement, never a
+    /// torn mixture.
     #[must_use = "the returned stripings' chunks must be garbage-collected"]
     pub(crate) fn commit_metadata_with_debt(
         &self,
         meta: &ObjectMeta,
-        debt: Option<serde_json::Value>,
+        debt: Option<DurabilityDebt>,
     ) -> Result<Vec<StripingMeta>> {
         let row_key = meta.row_key();
-        let value = serde_json::to_value(meta)
-            .map_err(|e| ScaliaError::Internal(format!("serialize metadata: {e}")))?;
         let timestamp = self.infra.next_timestamp();
         let mut ops = vec![
             JournalOp::Put {
                 row_key: row_key.clone(),
                 column: "meta".to_string(),
-                value,
-                timestamp,
-            },
-            // The optimiser digest: the compact slice of the metadata the
-            // class-centric sweep needs per member (rule fingerprint,
-            // current placement, size, lifetime hints). Reading it costs a
-            // fraction of deserialising full metadata, so a steady-state
-            // optimisation cycle never touches the `meta` column of members
-            // that stay put.
-            JournalOp::Put {
-                row_key: row_key.clone(),
-                column: "opt".to_string(),
-                value: crate::optimizer::optimizer_digest(meta),
+                value: CellValue::Meta(Arc::new(meta.clone())),
                 timestamp,
             },
             // Container index for LIST.
             JournalOp::Put {
                 row_key: format!("container:{}", meta.key.container),
                 column: meta.key.key.clone(),
-                value: json!(true),
+                value: CellValue::Listed(true),
                 timestamp,
             },
         ];
         match debt {
-            Some(debt_value) => {
+            Some(debt) => {
                 ops.push(JournalOp::Put {
                     row_key: row_key.clone(),
                     column: "debt".to_string(),
-                    value: debt_value,
+                    value: CellValue::Debt(debt),
                     timestamp,
                 });
                 ops.push(JournalOp::Put {
@@ -363,24 +342,18 @@ impl Engine {
             }),
         }
         // MVCC: the freshest version wins; deprecated versions are removed
-        // from the database here, their chunks by the caller. `meta` must
-        // be the FIRST prune: the transaction's pruned-cell set
-        // deduplicates on timestamps, and a version's meta/opt/debt cells
-        // share one — insertion order makes the meta cell the survivor.
+        // from the database here, their chunks by the caller.
         ops.push(JournalOp::Prune {
-            row_key: row_key.clone(),
+            row_key,
             column: "meta".to_string(),
-        });
-        ops.push(JournalOp::Prune {
-            row_key: row_key.clone(),
-            column: "opt".to_string(),
         });
         let pruned = self.infra.database().transaction(ops)?;
         Ok(pruned
             .into_iter()
-            .filter_map(|cell| serde_json::from_value::<ObjectMeta>(cell.value).ok())
-            .filter(|old_meta| old_meta.version != meta.version)
-            .map(|old_meta| old_meta.striping)
+            .filter_map(|cell| match cell.value {
+                CellValue::Meta(old) if old.version != meta.version => Some(old.striping.clone()),
+                _ => None,
+            })
             .collect())
     }
 
@@ -447,16 +420,17 @@ impl Engine {
         self.local_cache.put_if_epoch(row_key, data.clone(), epoch);
     }
 
-    /// Reads and deserialises the current metadata version of an object,
-    /// decoding straight from the stored cell rather than a copy of it.
-    pub fn read_metadata(&self, key: &ObjectKey) -> Result<ObjectMeta> {
+    /// Reads the current metadata version of an object — shared with the
+    /// store, not copied. A `meta` cell holding anything but metadata is an
+    /// error, never a miss.
+    pub fn read_metadata(&self, key: &ObjectKey) -> Result<Arc<ObjectMeta>> {
         self.infra
             .database()
             .with_latest(self.datacenter, &key.row_key(), "meta", |cell| {
-                ObjectMeta::deserialize(&cell.value)
+                cell.value.as_meta().cloned()
             })
             .ok_or_else(|| ScaliaError::ObjectNotFound(key.clone()))?
-            .map_err(|e| ScaliaError::Internal(format!("deserialize metadata: {e}")))
+            .ok_or_else(|| ScaliaError::Internal(format!("`meta` cell of {key} is not metadata")))
     }
 
     /// Fetches each stripe's chunks with a hedged race over the cheapest
@@ -484,7 +458,7 @@ impl Engine {
             .database()
             .get_row_merged(&row)
             .into_iter()
-            .filter(|(_, cell)| cell.value == json!(true))
+            .filter(|(_, cell)| cell.value == CellValue::Listed(true))
             .map(|(column, _)| ObjectKey::new(container, column))
             .collect()
     }
@@ -525,7 +499,7 @@ impl Engine {
         self.infra.database().put(
             &format!("container:{}", key.container),
             &key.key,
-            json!(false),
+            CellValue::Listed(false),
             self.infra.next_timestamp(),
         )?;
         stats.delete_object_stats(&row_key);

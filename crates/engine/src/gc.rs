@@ -7,8 +7,8 @@
 //! storage forever. [`sweep_orphan_chunks`] reconciles each provider's key
 //! space against the union of chunk keys referenced by **any** metadata
 //! version on any database node, and deletes the difference — but only when
-//! that union is complete: a down node or an undecodable `meta` cell makes
-//! the sweep delete nothing.
+//! that union is complete: a down node or a `meta` cell that holds anything
+//! but object metadata makes the sweep delete nothing.
 //!
 //! The sweep is safe only on a *quiescent* cluster (no in-flight writes):
 //! an upload racing the sweep has chunks at providers before its metadata
@@ -18,7 +18,6 @@
 
 use crate::infra::Infrastructure;
 use scalia_providers::backend::ObjectStore;
-use scalia_types::object::ObjectMeta;
 use std::collections::HashSet;
 
 /// Outcome of one [`sweep_orphan_chunks`] pass.
@@ -34,7 +33,8 @@ pub struct GcReport {
     pub providers_skipped: usize,
     /// Metadata nodes that were down. Any down node refuses the sweep.
     pub nodes_down: usize,
-    /// `meta` cells that failed to decode. Any such cell refuses the sweep.
+    /// `meta` cells that hold no object metadata. Any such cell refuses the
+    /// sweep.
     pub undecodable_cells: usize,
 }
 
@@ -52,7 +52,8 @@ impl GcReport {
 /// reference — deprecated-but-unpruned versions keep their chunks until the
 /// prune lands, so the sweep never races MVCC. The sweep fails closed: if
 /// any metadata node is down (its newest versions may exist nowhere else)
-/// or any `meta` cell fails to decode (its chunk references are unknown),
+/// or any `meta` cell holds no object metadata (its chunk references are
+/// unknown),
 /// it deletes nothing and the report says why ([`GcReport::refused`]).
 /// Down providers are skipped (their keys cannot be listed) and reported;
 /// re-run the sweep when they recover.
@@ -73,9 +74,9 @@ pub fn sweep_orphan_chunks(infra: &Infrastructure) -> GcReport {
                 continue;
             };
             for cell in cells {
-                match serde_json::from_value::<ObjectMeta>(cell.value.clone()) {
-                    Ok(meta) => referenced.extend(meta.striping.all_chunk_keys()),
-                    Err(_) => report.undecodable_cells += 1,
+                match cell.value.as_meta() {
+                    Some(meta) => referenced.extend(meta.striping.all_chunk_keys()),
+                    None => report.undecodable_cells += 1,
                 }
             }
         }
@@ -105,6 +106,7 @@ mod tests {
     use super::*;
     use crate::cluster::ScaliaCluster;
     use bytes::Bytes;
+    use scalia_metastore::model::CellValue;
     use scalia_providers::backend::ObjectStore;
     use scalia_types::ids::DatacenterId;
     use scalia_types::object::ObjectKey;
@@ -172,19 +174,21 @@ mod tests {
             .put(&key, vec![5u8; 50_000], "application/x-tar", rule(), None)
             .unwrap();
 
-        // Rewrite the object's only `meta` cell in a shape this build cannot
-        // decode — as metadata written by a newer format would look. The
-        // cell still names the object's chunks; the sweep cannot see them.
+        // Replace the object's only `meta` cell with a value that is not
+        // object metadata. The chunks it named are still stored, but the
+        // sweep can no longer see that they are referenced.
         let row = key.row_key();
-        let mut value = db
-            .get_latest(DatacenterId::new(0), &row, "meta")
-            .unwrap()
-            .value;
-        if let serde_json::Value::Object(map) = &mut value {
-            map.insert("size".to_string(), serde_json::json!("unknown"));
-        }
-        db.put(&row, "meta", value, infra.next_timestamp()).unwrap();
+        db.put(
+            &row,
+            "meta",
+            CellValue::Class(Some("not-metadata".to_string())),
+            infra.next_timestamp(),
+        )
+        .unwrap();
         db.prune_old_versions(&row, "meta");
+        assert!(db
+            .get_latest(DatacenterId::new(0), &row, "meta")
+            .is_some_and(|cell| cell.value.as_meta().is_none()));
         let stored = stored_total(&infra);
 
         let report = sweep_orphan_chunks(&infra);

@@ -10,8 +10,8 @@
 //! class: the optimiser therefore runs the trend detector and Algorithm 1
 //! **once per group** — `K` searches for `N` accessed objects in `K`
 //! classes — and maps each group decision onto every member (members whose
-//! persisted placement digest already matches the decision are done with
-//! zero further reads).
+//! current placement already matches the decision need no pricing at
+//! all).
 //!
 //! Migrations are executed through a per-cycle **budget** (bytes uploaded
 //! and one-off dollars): candidates are ordered by expected saving per
@@ -120,124 +120,24 @@ struct MigrationCandidate {
     plan: MigrationPlan,
 }
 
-/// The compact per-object **optimiser digest** the engine persists next to
-/// the metadata (`opt` column) on every commit: exactly the fields the
-/// class-centric sweep needs per member — rule identity for subgrouping,
-/// current placement for the already-there short-circuit, size and
-/// lifetime hints for the group's usage prediction. Reading and decoding it
-/// costs a fraction of deserialising full [`ObjectMeta`], so a cycle only
-/// pays the metadata read for members that actually diverge from their
-/// group's decision.
-#[derive(Debug, Clone)]
-struct MemberDigest {
+/// One member of an evaluating class: its metadata, read once per cycle
+/// and shared with the store, and its rule fingerprint (the subgroup
+/// identity the sweep sorts and splits on).
+struct Member {
     row_key: String,
-    rule_name: String,
+    meta: Arc<ObjectMeta>,
     rule_fingerprint: [u64; 5],
-    size: ByteSize,
-    m: u32,
-    /// Sorted provider ids of the current placement.
-    providers: Vec<u32>,
-    written_at: scalia_types::time::SimTime,
-    ttl_hint_hours: Option<f64>,
-    /// Full metadata, already in hand when the digest was synthesised from
-    /// a `meta` read (the missing-digest fallback path).
-    meta: Option<ObjectMeta>,
 }
 
-/// Serialises the optimiser digest of a metadata version (written by
-/// `Engine::commit_metadata` under the same timestamp as the `meta`
-/// column). One compact delimited string — a single allocation to read
-/// back, where a structured JSON object would clone a whole key/value tree
-/// per member per cycle. Layout (the rule name goes last because it is the
-/// only field that may contain the delimiter):
-///
-/// `1|rfp0|rfp1|rfp2|rfp3|rfp4|m|size|written_secs|ttl_bits-or-n|p0,p1,…|rule name`
-pub(crate) fn optimizer_digest(meta: &ObjectMeta) -> serde_json::Value {
-    // `provider_set()` is the sorted union across stripes.
-    let providers: Vec<u32> = meta.striping.provider_set().iter().map(|p| p.0).collect();
-    let rfp = GroupKey::rule_fingerprint(&meta.rule);
-    let providers = providers
-        .iter()
-        .map(|p| p.to_string())
-        .collect::<Vec<_>>()
-        .join(",");
-    let ttl = match meta.ttl_hint_hours {
-        Some(ttl) => ttl.to_bits().to_string(),
-        None => "n".to_string(),
-    };
-    serde_json::Value::String(format!(
-        "1|{}|{}|{}|{}|{}|{}|{}|{}|{ttl}|{providers}|{}",
-        rfp[0],
-        rfp[1],
-        rfp[2],
-        rfp[3],
-        rfp[4],
-        meta.striping.m,
-        meta.size.bytes(),
-        meta.written_at.secs(),
-        meta.rule.name,
-    ))
-}
-
-impl MemberDigest {
-    /// Decodes a persisted digest; `None` on any structural mismatch (the
-    /// caller falls back to the full metadata read).
-    fn decode(row_key: String, value: &serde_json::Value) -> Option<MemberDigest> {
-        let mut fields = value.as_str()?.splitn(12, '|');
-        if fields.next()? != "1" {
-            return None;
-        }
-        let mut rule_fingerprint = [0u64; 5];
-        for slot in rule_fingerprint.iter_mut() {
-            *slot = fields.next()?.parse().ok()?;
-        }
-        let m: u32 = fields.next()?.parse().ok()?;
-        let size: u64 = fields.next()?.parse().ok()?;
-        let written_secs: u64 = fields.next()?.parse().ok()?;
-        let ttl_hint_hours = match fields.next()? {
-            "n" => None,
-            bits => Some(f64::from_bits(bits.parse().ok()?)),
-        };
-        let providers_field = fields.next()?;
-        let providers = if providers_field.is_empty() {
-            Vec::new()
-        } else {
-            providers_field
-                .split(',')
-                .map(|p| p.parse().ok())
-                .collect::<Option<Vec<u32>>>()?
-        };
-        Some(MemberDigest {
-            row_key,
-            rule_name: fields.next()?.to_string(),
-            rule_fingerprint,
-            size: ByteSize::from_bytes(size),
-            m,
-            providers,
-            written_at: scalia_types::time::SimTime::from_secs(written_secs),
-            ttl_hint_hours,
-            meta: None,
+/// The latest metadata version at `row_key`, shared with the store; `None`
+/// once the object is deleted.
+fn read_meta(engine: &Engine, infra: &Infrastructure, row_key: &str) -> Option<Arc<ObjectMeta>> {
+    infra
+        .database()
+        .with_latest(engine.datacenter(), row_key, "meta", |cell| {
+            cell.value.as_meta().cloned()
         })
-    }
-
-    /// Synthesises the digest from full metadata (objects written before
-    /// the digest column existed), keeping the deserialised metadata for
-    /// the gate.
-    fn from_meta(row_key: String, meta: ObjectMeta) -> MemberDigest {
-        // `provider_set()`: the sorted union across stripes.
-        let providers: Vec<u32> = meta.striping.provider_set().iter().map(|p| p.0).collect();
-        MemberDigest {
-            row_key,
-            rule_name: meta.rule.name.clone(),
-            rule_fingerprint: GroupKey::rule_fingerprint(&meta.rule),
-            size: meta.size,
-            m: meta.striping.m,
-            providers,
-            written_at: meta.written_at,
-            ttl_hint_hours: meta.ttl_hint_hours,
-            meta: Some(meta),
-        }
-    }
+        .flatten()
 }
 
 /// The periodic optimiser.
@@ -495,56 +395,40 @@ impl PeriodicOptimizer {
             return (partial, candidates);
         }
 
-        // The class evaluates: now (and only now) read member digests —
-        // decoded in place, no cell clone — with a full metadata read only
-        // for objects without one. Objects deleted since they were accessed
-        // drop out here, exactly like the per-object sweep.
-        let mut digests: Vec<MemberDigest> = Vec::with_capacity(member_keys.len());
-        for row_key in member_keys {
-            let digest = infra
-                .database()
-                .with_latest(engine.datacenter(), &row_key, "opt", |cell| {
-                    MemberDigest::decode(row_key.clone(), &cell.value)
+        // The class evaluates: now (and only now) read each member's
+        // metadata, once. Objects deleted since they were accessed drop out
+        // here, exactly like the per-object sweep.
+        let mut members: Vec<Member> = member_keys
+            .into_iter()
+            .filter_map(|row_key| {
+                let meta = read_meta(engine, infra, &row_key)?;
+                Some(Member {
+                    rule_fingerprint: GroupKey::rule_fingerprint(&meta.rule),
+                    row_key,
+                    meta,
                 })
-                .flatten();
-            let digest = match digest {
-                Some(digest) => digest,
-                None => {
-                    let Some(cell) =
-                        infra
-                            .database()
-                            .get_latest(engine.datacenter(), &row_key, "meta")
-                    else {
-                        continue;
-                    };
-                    let Ok(meta) = serde_json::from_value::<ObjectMeta>(cell.value) else {
-                        continue;
-                    };
-                    MemberDigest::from_meta(row_key, meta)
-                }
-            };
-            digests.push(digest);
-        }
+            })
+            .collect();
         // Split by rule identity: one sort with borrowed comparators (no
         // per-member key clones), then slice-grouping of the consecutive
         // runs. Members stay sorted by row key inside each group, so the
         // cycle is deterministic at any pool size.
-        digests.sort_unstable_by(|a, b| {
+        members.sort_unstable_by(|a, b| {
             a.rule_fingerprint
                 .cmp(&b.rule_fingerprint)
-                .then_with(|| a.rule_name.cmp(&b.rule_name))
+                .then_with(|| a.meta.rule.name.cmp(&b.meta.rule.name))
                 .then_with(|| a.row_key.cmp(&b.row_key))
         });
-        let mut groups: Vec<Vec<MemberDigest>> = Vec::new();
-        for digest in digests {
+        let mut groups: Vec<Vec<Member>> = Vec::new();
+        for member in members {
             match groups.last_mut() {
                 Some(group)
-                    if group[0].rule_fingerprint == digest.rule_fingerprint
-                        && group[0].rule_name == digest.rule_name =>
+                    if group[0].rule_fingerprint == member.rule_fingerprint
+                        && group[0].meta.rule.name == member.meta.rule.name =>
                 {
-                    group.push(digest)
+                    group.push(member)
                 }
-                _ => groups.push(vec![digest]),
+                _ => groups.push(vec![member]),
             }
         }
         // The class's lifetime samples are fetched — and the deletion-time
@@ -559,11 +443,10 @@ impl PeriodicOptimizer {
         for members in groups {
             let group_key = GroupKey::from_fingerprint(
                 class_id.clone(),
-                members[0].rule_name.clone(),
+                members[0].meta.rule.name.clone(),
                 members[0].rule_fingerprint,
             );
             let (group_partial, mut group_candidates) = self.optimize_group(
-                engine,
                 infra,
                 group_key,
                 members,
@@ -579,18 +462,15 @@ impl PeriodicOptimizer {
 
     /// One `(class, rule)` group of an evaluating class: **one** placement
     /// search, and the per-member migration gate against the shared
-    /// [`GroupDecision`]. Members whose digest already matches the decided
-    /// placement are done with zero further reads (a plan that moves
-    /// nothing can never be beneficial); only divergent members pay the
-    /// full metadata read for the exact gate. Returns the group's report
-    /// partial and its beneficial migration candidates.
-    #[allow(clippy::too_many_arguments)]
+    /// [`GroupDecision`]. Members already on the decided placement are done
+    /// (a plan that moves nothing can never be beneficial); only divergent
+    /// members are priced through the exact gate. Returns the group's
+    /// report partial and its beneficial migration candidates.
     fn optimize_group(
         &self,
-        engine: &Arc<Engine>,
         infra: &Arc<Infrastructure>,
         group_key: GroupKey,
-        members: Vec<MemberDigest>,
+        members: Vec<Member>,
         trend_changed: bool,
         class_usage: &ClassUsage,
         lifetime_dist: Option<&scalia_core::lifetime::LifetimeDistribution>,
@@ -609,22 +489,13 @@ impl PeriodicOptimizer {
         let mean_history = class_usage.mean_member_history(DEFAULT_HISTORY_LEN);
         let period_hours = infra.sampling_period().as_hours();
         let mean_size = ByteSize::from_bytes(
-            (members.iter().map(|m| m.size.bytes()).sum::<u64>() as f64 / members.len() as f64)
+            (members.iter().map(|m| m.meta.size.bytes()).sum::<u64>() as f64 / members.len() as f64)
                 .round() as u64,
         );
-        // The search needs the full rule; one representative member's
-        // metadata supplies it (every member of the group shares the rule
-        // fingerprint). The fallback path has it in hand already.
-        let Some(rule) = members.iter().find_map(|member| match &member.meta {
-            Some(meta) => Some(meta.rule.clone()),
-            None => infra
-                .database()
-                .get_latest(engine.datacenter(), &member.row_key, "meta")
-                .and_then(|cell| serde_json::from_value::<ObjectMeta>(cell.value).ok())
-                .map(|meta| meta.rule),
-        }) else {
-            return (partial, candidates); // Every member vanished mid-cycle.
-        };
+        // Every member of the group shares the rule fingerprint; the first
+        // member's metadata supplies the full rule the search needs.
+        let representative = Arc::clone(&members[0].meta);
+        let rule = &representative.rule;
 
         // Decision period for the group (adaptive, bounded by the tightest
         // member TTL), amortised across all members on one controller.
@@ -632,8 +503,8 @@ impl PeriodicOptimizer {
             .iter()
             .map(|member| {
                 self.ttl_upper_bound_with(
-                    member.ttl_hint_hours,
-                    member.written_at,
+                    member.meta.ttl_hint_hours,
+                    member.meta.written_at,
                     infra,
                     lifetime_dist,
                     &mean_history,
@@ -647,7 +518,7 @@ impl PeriodicOptimizer {
             let periods = window.periods(infra.sampling_period()).max(1) as usize;
             let usage =
                 PredictedUsage::from_history(mean_size, &mean_history, periods, period_hours);
-            match infra.best_placement_cached(&self.placement, &rule, &group_key.class_id, &usage) {
+            match infra.best_placement_cached(&self.placement, rule, &group_key.class_id, &usage) {
                 Ok(decision) => decision
                     .expected_cost
                     .scale(1.0 / usage.duration_hours.max(1e-9)),
@@ -661,7 +532,7 @@ impl PeriodicOptimizer {
         let periods = decision_period.periods(infra.sampling_period()).max(1) as usize;
         let usage = PredictedUsage::from_history(mean_size, &mean_history, periods, period_hours);
         let Ok(decision) =
-            infra.best_placement_cached(&self.placement, &rule, &group_key.class_id, &usage)
+            infra.best_placement_cached(&self.placement, rule, &group_key.class_id, &usage)
         else {
             return (partial, candidates);
         };
@@ -690,38 +561,22 @@ impl PeriodicOptimizer {
         // Map the decision onto every member: exact per-member pricing (the
         // class rates at the member's exact size), exact migration gate.
         for member in members {
-            if member.m == decision_m && member.providers == decision_providers {
+            let Member { row_key, meta, .. } = member;
+            // `provider_set()`: the sorted union across stripes.
+            let providers: Vec<u32> = meta.striping.provider_set().iter().map(|p| p.0).collect();
+            if meta.striping.m == decision_m && providers == decision_providers {
                 // Already on the decided placement: re-evaluated, nothing
                 // to move (a plan whose `from` equals its `to` is never
-                // beneficial) — no metadata read needed.
+                // beneficial).
                 partial.placements_recomputed += 1;
                 continue;
             }
-            // Divergent member: now (and only now) deserialise its full
-            // metadata for the exact migration gate.
-            let meta = match member.meta {
-                Some(meta) => meta,
-                None => {
-                    let Some(cell) =
-                        infra
-                            .database()
-                            .get_latest(engine.datacenter(), &member.row_key, "meta")
-                    else {
-                        continue; // Deleted mid-cycle.
-                    };
-                    let Ok(meta) = serde_json::from_value::<ObjectMeta>(cell.value) else {
-                        continue;
-                    };
-                    meta
-                }
-            };
-            let row_key = member.row_key;
             let member_usage = PredictedUsage {
                 size: meta.size,
                 ..usage
             };
             let Some((m, member_cost)) =
-                PlacementEngine::evaluate_set(&rule, &member_usage, &decision.placement.providers)
+                PlacementEngine::evaluate_set(rule, &member_usage, &decision.placement.providers)
             else {
                 continue; // Decision infeasible at this member's exact size.
             };
@@ -835,14 +690,8 @@ impl PeriodicOptimizer {
     ) -> ObjectOutcome {
         let mut outcome = ObjectOutcome::default();
         let stats = infra.statistics(engine.datacenter());
-        let Some(cell) = infra
-            .database()
-            .get_latest(engine.datacenter(), row_key, "meta")
-        else {
+        let Some(meta) = read_meta(engine, infra, row_key) else {
             return outcome; // Object deleted since it was accessed.
-        };
-        let Ok(meta) = serde_json::from_value::<ObjectMeta>(cell.value) else {
-            return outcome;
         };
         let class = ObjectClass::of(&meta.mime, meta.size);
 
@@ -958,7 +807,7 @@ impl PeriodicOptimizer {
         )
     }
 
-    /// [`Self::ttl_upper_bound`] on the digest fields, with the class's
+    /// [`Self::ttl_upper_bound`] on the two metadata fields it needs, with the class's
     /// deletion-time distribution supplied by the caller (the class-centric
     /// sweep builds it once per class).
     fn ttl_upper_bound_with(

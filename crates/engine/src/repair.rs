@@ -11,7 +11,7 @@
 //!
 //! Repair work is *persistent*: every object that needs attention has a row
 //! `repair:{object_row_key}` in the metastore with a single `item` column
-//! holding `{container, key, reason, attempts, not_before_secs, dead}`.
+//! holding its [`RepairQueueEntry`] (key, reason, attempts, backoff, dead).
 //! Entries are created by [`enqueue`] (provider outages) and by the engine's
 //! commit path itself (degraded writes record their durability debt and
 //! queue entry in the same journaled transaction as the metadata — a crash
@@ -48,12 +48,12 @@ use scalia_core::availability::get_availability;
 use scalia_core::cost::PredictedUsage;
 use scalia_core::migration::MigrationBudget;
 use scalia_core::placement::PlacementEngine;
+use scalia_metastore::model::CellValue;
 use scalia_types::error::{Result, ScaliaError};
 use scalia_types::ids::ProviderId;
 use scalia_types::money::Money;
-use scalia_types::object::{ObjectKey, ObjectMeta};
+use scalia_types::object::{ObjectKey, ObjectMeta, RepairQueueEntry};
 use scalia_types::time::SimTime;
-use serde_json::{json, Value};
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
@@ -117,67 +117,16 @@ pub struct RepairDrainReport {
     pub bytes_moved: u64,
 }
 
-/// A parsed repair-queue entry.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RepairQueueEntry {
-    /// The object needing repair.
-    pub key: ObjectKey,
-    /// Why it was queued (`"provider-outage"`, `"degraded-write"`, …).
-    pub reason: String,
-    /// Failed attempts so far.
-    pub attempts: u32,
-    /// Simulation second before which the entry must not be retried.
-    pub not_before_secs: u64,
-    /// Dead-lettered: no longer retried, surfaced in every drain report.
-    pub dead: bool,
-}
-
-impl RepairQueueEntry {
-    fn from_value(value: &Value) -> Option<Self> {
-        Some(RepairQueueEntry {
-            key: ObjectKey::new(
-                value.get("container")?.as_str()?,
-                value.get("key")?.as_str()?,
-            ),
-            reason: value.get("reason")?.as_str()?.to_string(),
-            attempts: value.get("attempts").and_then(Value::as_u64).unwrap_or(0) as u32,
-            not_before_secs: value
-                .get("not_before_secs")
-                .and_then(Value::as_u64)
-                .unwrap_or(0),
-            dead: value.get("dead").and_then(Value::as_bool).unwrap_or(false),
-        })
-    }
-
-    fn to_value(&self) -> Value {
-        json!({
-            "container": self.key.container,
-            "key": self.key.key,
-            "reason": self.reason,
-            "attempts": self.attempts,
-            "not_before_secs": self.not_before_secs,
-            "dead": self.dead,
-        })
-    }
-}
-
 /// The repair-queue row key of an object metadata row.
 pub fn queue_row_key(object_row_key: &str) -> String {
     format!("{REPAIR_QUEUE_PREFIX}{object_row_key}")
 }
 
-/// A fresh queue-entry value (attempt counter zeroed, immediately due) —
-/// also used by the engine's degraded-write commit, which journals the
-/// entry in the same transaction as the metadata.
-pub fn queue_item(key: &ObjectKey, reason: &str) -> Value {
-    RepairQueueEntry {
-        key: key.clone(),
-        reason: reason.to_string(),
-        attempts: 0,
-        not_before_secs: 0,
-        dead: false,
-    }
-    .to_value()
+/// A fresh queue entry (attempt counter zeroed, immediately due) as a cell
+/// value — also used by the engine's degraded-write commit, which journals
+/// the entry in the same transaction as the metadata.
+pub(crate) fn queue_item(key: &ObjectKey, reason: &str) -> CellValue {
+    CellValue::Repair(RepairQueueEntry::new(key.clone(), reason))
 }
 
 /// Deterministic retry backoff: exponential from the base (exponent capped),
@@ -210,10 +159,12 @@ fn first_up_node(infra: &Infrastructure) -> Result<Arc<scalia_metastore::store::
 pub fn enqueue(infra: &Infrastructure, key: &ObjectKey, reason: &str) -> Result<()> {
     let queue_row = queue_row_key(&key.row_key());
     let node = first_up_node(infra)?;
-    let existing = node
-        .get_latest(&queue_row, "item")
-        .and_then(|cell| RepairQueueEntry::from_value(&cell.value));
-    if matches!(existing, Some(ref entry) if !entry.dead) {
+    let live = node
+        .with_latest(&queue_row, "item", |cell| {
+            cell.value.as_repair().is_some_and(|entry| !entry.dead)
+        })
+        .unwrap_or(false);
+    if live {
         return Ok(());
     }
     let timestamp = infra.next_timestamp();
@@ -256,8 +207,8 @@ pub fn queue_entries(infra: &Infrastructure) -> Result<Vec<(String, RepairQueueE
         .scan_prefix(REPAIR_QUEUE_PREFIX)
         .into_iter()
         .filter_map(|queue_row| {
-            let cell = node.get_latest(&queue_row, "item")?;
-            let entry = RepairQueueEntry::from_value(&cell.value)?;
+            let entry =
+                node.with_latest(&queue_row, "item", |cell| cell.value.as_repair().cloned())??;
             Some((queue_row, entry))
         })
         .collect())
@@ -291,7 +242,7 @@ fn striping_health(
 struct RepairCandidate {
     queue_row: String,
     entry: RepairQueueEntry,
-    meta: ObjectMeta,
+    meta: Arc<ObjectMeta>,
     /// `target − achieved` availability over the currently reachable chunks:
     /// positive means the object is below its rule's floor right now.
     deficit: f64,
@@ -334,9 +285,7 @@ pub fn drain_repair_queue(
             }
         };
         let (all_reachable, achieved) = striping_health(catalog, &meta.striping);
-        let has_debt = node
-            .get_latest(&meta.row_key(), "debt")
-            .is_some_and(|cell| !cell.value.is_null());
+        let has_debt = node.with_latest(&meta.row_key(), "debt", |_| ()).is_some();
         if all_reachable && !has_debt {
             // Healthy again (e.g. the provider recovered before we got to
             // it) at full width: nothing to move.
@@ -413,7 +362,7 @@ pub fn drain_repair_queue(
                 let timestamp = infra.next_timestamp();
                 infra
                     .database()
-                    .put(&queue_row, "item", entry.to_value(), timestamp)?;
+                    .put(&queue_row, "item", CellValue::Repair(entry), timestamp)?;
                 infra.database().prune_old_versions(&queue_row, "item");
             }
         }
@@ -437,14 +386,10 @@ pub fn repair_provider(
     let node = first_up_node(infra)?;
 
     // Find every object whose striping references the failed provider.
-    let affected: Vec<ObjectMeta> = node
+    let affected: Vec<Arc<ObjectMeta>> = node
         .snapshot()
         .into_iter()
-        .filter_map(|(_, row)| {
-            row.get("meta")
-                .and_then(|cells| cells.last())
-                .and_then(|cell| serde_json::from_value::<ObjectMeta>(cell.value.clone()).ok())
-        })
+        .filter_map(|(_, row)| row.get("meta")?.last()?.value.as_meta().cloned())
         // Every stripe's providers, not just the first stripe's.
         .filter(|meta| meta.striping.provider_set().contains(&failed_provider))
         .collect();

@@ -534,7 +534,7 @@ impl Engine {
                 old.stripe_size,
                 new_stripes,
             ),
-            ..old_meta.clone()
+            ..ObjectMeta::clone(&old_meta)
         };
         self.commit_replacement(key, old_meta.version, &new_meta)?;
         Ok(new_meta)

@@ -4,6 +4,10 @@
 //! database nodes, so that a crash at any point leaves enough durable intent
 //! to finish (or cleanly discard) the interrupted operation on restart.
 //!
+//! A [`JournalOp`] is the one record of a mutation: the journal logs it,
+//! every up node applies it, and a node that is down (or still catching up)
+//! queues it for in-order replay (see [`crate::replication`]).
+//!
 //! # Journal format
 //!
 //! The journal is an append-only sequence of [`JournalRecord`]s:
@@ -12,9 +16,9 @@
 //!   row deletion). Logged immediately before the mutation is applied;
 //!   replay re-applies it.
 //! * `Begin { txid, ops }` — a multi-operation transaction (the engine's
-//!   `commit_metadata`: metadata put + optimizer digest + container index +
-//!   version prunes). The *whole* op list is logged atomically before any
-//!   node sees any of it.
+//!   `commit_metadata`: metadata put + container index + durability debt
+//!   and repair-queue entry + version prunes). The *whole* op list is
+//!   logged atomically before any node sees any of it.
 //! * `Commit { txid }` — appended after every op of transaction `txid` was
 //!   applied to the nodes.
 //!
@@ -33,9 +37,8 @@
 //! the role of flushing a snapshot to stable storage and truncating the
 //! committed prefix.
 
-use crate::model::{Row, Timestamp};
+use crate::model::{CellValue, Row, Timestamp};
 use parking_lot::Mutex;
-use serde_json::Value;
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -49,7 +52,7 @@ pub enum JournalOp {
         /// Column written.
         column: String,
         /// Cell value.
-        value: Value,
+        value: CellValue,
         /// Version timestamp of the cell.
         timestamp: Timestamp,
     },
@@ -193,13 +196,12 @@ pub struct StoreCheckpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use serde_json::json;
 
     fn put(row: &str, ts: u64) -> JournalOp {
         JournalOp::Put {
             row_key: row.to_string(),
             column: "c".to_string(),
-            value: json!(ts),
+            value: CellValue::Lifetime(ts as f64),
             timestamp: Timestamp::new(ts, 0),
         }
     }

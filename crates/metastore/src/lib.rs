@@ -13,12 +13,13 @@
 //! This crate rebuilds that substrate in process:
 //!
 //! * [`model`] — the wide-row data model: rows of columns of timestamped
-//!   versioned cells.
+//!   versioned cells, each holding one typed [`CellValue`].
 //! * [`store`] — a single database node with put/get/scan and
 //!   modified-since queries.
 //! * [`mvcc`] — conflict detection and latest-timestamp resolution.
 //! * [`replication`] — a multi-datacenter replicated store with partition
-//!   tolerance, hinted handoff and anti-entropy synchronisation.
+//!   tolerance: a node that misses ops while down replays them in order
+//!   once it is back (hinted handoff, anti-entropy).
 //! * [`stats`] — the statistics tables: per-object access history,
 //!   per-class resource usage and lifetime distributions.
 //! * [`logagg`] — the log agent / log aggregator pipeline that moves access
@@ -43,7 +44,7 @@ pub mod store;
 
 pub use journal::{JournalOp, JournalRecord, StoreCheckpoint, WriteAheadJournal};
 pub use logagg::{AccessLogRecord, LogAgent, LogAggregator};
-pub use model::{Cell, Timestamp};
+pub use model::{Cell, CellValue, Timestamp};
 pub use replication::ReplicatedStore;
 pub use stats::StatisticsStore;
 pub use store::NoSqlNode;
@@ -51,7 +52,7 @@ pub use store::NoSqlNode;
 /// Commonly used items.
 pub mod prelude {
     pub use crate::logagg::{AccessLogRecord, LogAgent, LogAggregator};
-    pub use crate::model::{Cell, Timestamp};
+    pub use crate::model::{Cell, CellValue, Timestamp};
     pub use crate::replication::ReplicatedStore;
     pub use crate::stats::StatisticsStore;
     pub use crate::store::NoSqlNode;

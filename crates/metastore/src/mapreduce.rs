@@ -6,7 +6,7 @@
 //! rows of a [`NoSqlNode`] (powered by rayon, per the HPC guides) plus the
 //! concrete job that aggregates per-class lifetime distributions.
 
-use crate::model::Row;
+use crate::model::{CellValue, Row};
 use crate::store::NoSqlNode;
 use rayon::prelude::*;
 use std::collections::BTreeMap;
@@ -70,7 +70,10 @@ pub fn class_lifetime_summaries(node: &NoSqlNode) -> BTreeMap<String, ClassLifet
             row.iter()
                 .filter(|(col, _)| col.starts_with("lifetime:"))
                 .filter_map(|(_, cells)| cells.last())
-                .filter_map(|cell| cell.value.as_f64())
+                .filter_map(|cell| match cell.value {
+                    CellValue::Lifetime(hours) => Some(hours),
+                    _ => None,
+                })
                 .map(|hours| (class_id.to_string(), hours))
                 .collect()
         },
@@ -96,14 +99,13 @@ mod tests {
     use super::*;
     use crate::model::Timestamp;
     use scalia_types::ids::DatacenterId;
-    use serde_json::json;
 
     #[test]
     fn generic_map_reduce_counts_columns() {
         let node = NoSqlNode::new(DatacenterId::new(0));
-        node.put("a", "x", json!(1), Timestamp::new(1, 0));
-        node.put("a", "y", json!(1), Timestamp::new(1, 1));
-        node.put("b", "x", json!(1), Timestamp::new(1, 2));
+        node.put("a", "x", CellValue::Lifetime(1.0), Timestamp::new(1, 0));
+        node.put("a", "y", CellValue::Lifetime(1.0), Timestamp::new(1, 1));
+        node.put("b", "x", CellValue::Lifetime(1.0), Timestamp::new(1, 2));
         let result = map_reduce(
             &node,
             |key, row| vec![(key.to_string(), row.len())],
@@ -116,21 +118,22 @@ mod tests {
     #[test]
     fn map_can_emit_multiple_keys_per_row() {
         let node = NoSqlNode::new(DatacenterId::new(0));
-        node.put("row", "c1", json!(10), Timestamp::new(1, 0));
-        node.put("row", "c2", json!(20), Timestamp::new(1, 1));
+        node.put("row", "c1", CellValue::Lifetime(10.0), Timestamp::new(1, 0));
+        node.put("row", "c2", CellValue::Lifetime(20.0), Timestamp::new(1, 1));
         let result = map_reduce(
             &node,
             |_, row| {
                 row.iter()
-                    .map(|(col, cells)| {
-                        (col.clone(), cells.last().unwrap().value.as_i64().unwrap())
+                    .map(|(col, cells)| match cells.last().unwrap().value {
+                        CellValue::Lifetime(hours) => (col.clone(), hours),
+                        ref other => panic!("unexpected cell value {other:?}"),
                     })
                     .collect::<Vec<_>>()
             },
-            |_, values| values.into_iter().sum::<i64>(),
+            |_, values| values.into_iter().sum::<f64>(),
         );
-        assert_eq!(result["c1"], 10);
-        assert_eq!(result["c2"], 20);
+        assert_eq!(result["c1"], 10.0);
+        assert_eq!(result["c2"], 20.0);
     }
 
     #[test]
@@ -140,26 +143,26 @@ mod tests {
         node.put(
             "stats:class:A",
             "lifetime:1:0",
-            json!(2.0),
+            CellValue::Lifetime(2.0),
             Timestamp::new(1, 0),
         );
         node.put(
             "stats:class:A",
             "lifetime:2:0",
-            json!(4.0),
+            CellValue::Lifetime(4.0),
             Timestamp::new(2, 0),
         );
         node.put(
             "stats:class:B",
             "lifetime:3:0",
-            json!(6.0),
+            CellValue::Lifetime(6.0),
             Timestamp::new(3, 0),
         );
         // A non-class row is ignored.
         node.put(
             "stats:obj:xyz",
             "period:000000000001",
-            json!({}),
+            CellValue::Class(None),
             Timestamp::new(4, 0),
         );
 

@@ -47,8 +47,11 @@ pub fn has_conflict(column: &Column) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{insert_version, Timestamp};
-    use serde_json::json;
+    use crate::model::{insert_version, CellValue, Timestamp};
+
+    fn tag(s: &str) -> CellValue {
+        CellValue::Class(Some(s.to_string()))
+    }
 
     #[test]
     fn empty_column_has_no_conflict() {
@@ -63,9 +66,9 @@ mod tests {
     #[test]
     fn single_version_is_not_a_conflict() {
         let mut col = Column::new();
-        insert_version(&mut col, Cell::new(json!("only"), Timestamp::new(5, 0)));
+        insert_version(&mut col, Cell::new(tag("only"), Timestamp::new(5, 0)));
         let r = resolve_latest(&col);
-        assert_eq!(r.winner.unwrap().value, json!("only"));
+        assert_eq!(r.winner.unwrap().value, tag("only"));
         assert!(!r.had_conflict);
         assert!(!has_conflict(&col));
     }
@@ -75,28 +78,15 @@ mod tests {
         let mut col = Column::new();
         // Two engines in different datacenters write concurrently; the one
         // with the later (NTP-synchronised) timestamp wins.
-        insert_version(
-            &mut col,
-            Cell::new(json!({"v": "dc1"}), Timestamp::new(100, 1)),
-        );
-        insert_version(
-            &mut col,
-            Cell::new(json!({"v": "dc2"}), Timestamp::new(100, 2)),
-        );
-        insert_version(
-            &mut col,
-            Cell::new(json!({"v": "stale"}), Timestamp::new(90, 0)),
-        );
+        insert_version(&mut col, Cell::new(tag("dc1"), Timestamp::new(100, 1)));
+        insert_version(&mut col, Cell::new(tag("dc2"), Timestamp::new(100, 2)));
+        insert_version(&mut col, Cell::new(tag("stale"), Timestamp::new(90, 0)));
         assert!(has_conflict(&col));
         let r = resolve_latest(&col);
         assert!(r.had_conflict);
-        assert_eq!(r.winner.unwrap().value["v"], "dc2");
+        assert_eq!(r.winner.unwrap().value, tag("dc2"));
         assert_eq!(r.deprecated.len(), 2);
-        let deprecated: Vec<&str> = r
-            .deprecated
-            .iter()
-            .map(|c| c.value["v"].as_str().unwrap())
-            .collect();
-        assert_eq!(deprecated, vec!["stale", "dc1"]);
+        let deprecated: Vec<&CellValue> = r.deprecated.iter().map(|c| &c.value).collect();
+        assert_eq!(deprecated, vec![&tag("stale"), &tag("dc1")]);
     }
 }

@@ -5,9 +5,15 @@
 //! succeed "as long as a single database node is up and running", with the
 //! datacenters becoming eventually consistent after a partition heals
 //! (§III-D3). [`ReplicatedStore`] implements that behaviour over a set of
-//! [`NoSqlNode`]s: writes go to every reachable node, misses are recorded as
-//! hinted handoffs, and [`ReplicatedStore::anti_entropy`] reconciles nodes
-//! pairwise by merging version sets.
+//! [`NoSqlNode`]s. Every mutation is one [`JournalOp`] applied to every
+//! reachable node. A node that is down when an op is applied gets the op
+//! queued (hinted handoff — for puts, deletes and prunes alike), and a node
+//! with queued ops receives them in order before any newer op: the next op
+//! routed to it replays its queue first, and
+//! [`ReplicatedStore::anti_entropy`] replays the queues of nodes that are
+//! back up. Replicas converge by replaying exactly the ops they missed, so
+//! a row deleted while a node was down stays deleted, and catch-up work
+//! grows with the missed ops, never with the stored cells.
 //!
 //! Every mutation is additionally recorded in a [`WriteAheadJournal`] so the
 //! store survives a crash: [`ReplicatedStore::checkpoint`] snapshots the
@@ -18,23 +24,13 @@
 //! the whole batch atomic across a crash (see [`crate::journal`]).
 
 use crate::journal::{JournalOp, JournalRecord, StoreCheckpoint, WriteAheadJournal};
-use crate::model::{Cell, Timestamp};
+use crate::model::{Cell, CellValue, Timestamp};
 use crate::store::NoSqlNode;
 use parking_lot::Mutex;
 use scalia_types::error::{Result, ScaliaError};
 use scalia_types::ids::DatacenterId;
-use serde_json::Value;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
-
-/// A pending write that could not reach a node (hinted handoff).
-#[derive(Debug, Clone)]
-struct Hint {
-    datacenter: DatacenterId,
-    row_key: String,
-    column: String,
-    cell: Cell,
-}
 
 /// A crash-injection hook: called with a crash-point label, returns `true`
 /// when the operation must abort *right there* with no cleanup (the chaos
@@ -44,17 +40,31 @@ pub type CrashHook = Arc<dyn Fn(&str) -> bool + Send + Sync>;
 /// A store replicated across every datacenter's database node.
 pub struct ReplicatedStore {
     nodes: Vec<Arc<NoSqlNode>>,
-    hints: Mutex<VecDeque<Hint>>,
+    /// Per node, parallel to `nodes`: the ops it has not applied yet,
+    /// oldest first.
+    backlogs: Vec<Mutex<VecDeque<JournalOp>>>,
     journal: WriteAheadJournal,
     crash_hook: Mutex<Option<CrashHook>>,
+}
+
+/// Replays `backlog` onto `node`, oldest first, stopping at the first op
+/// the node cannot take (it is down). Returns whether the node caught up.
+fn catch_up(node: &NoSqlNode, backlog: &mut VecDeque<JournalOp>) -> bool {
+    while let Some(op) = backlog.front() {
+        if node.apply(op).is_none() {
+            return false;
+        }
+        backlog.pop_front();
+    }
+    true
 }
 
 impl ReplicatedStore {
     /// Creates a replicated store over the given nodes (one per datacenter).
     pub fn new(nodes: Vec<Arc<NoSqlNode>>) -> Self {
         ReplicatedStore {
+            backlogs: nodes.iter().map(|_| Mutex::new(VecDeque::new())).collect(),
             nodes,
-            hints: Mutex::new(VecDeque::new()),
             journal: WriteAheadJournal::new(),
             crash_hook: Mutex::new(None),
         }
@@ -78,105 +88,79 @@ impl ReplicatedStore {
         self.nodes.iter().find(|n| n.datacenter() == datacenter)
     }
 
-    /// Number of queued hinted-handoff writes.
+    /// Number of ops queued for nodes that have not applied them yet.
     pub fn pending_hints(&self) -> usize {
-        self.hints.lock().len()
+        self.backlogs.iter().map(|b| b.lock().len()).sum()
     }
 
-    /// Writes a cell to every reachable node. Nodes that are down get a
-    /// hinted handoff replayed by [`Self::anti_entropy`]. Fails only if *no*
-    /// node accepted the write. Accepted writes are recorded in the
-    /// write-ahead journal (as auto-committed redo records) so crash
+    /// Writes a cell to every reachable node; nodes that are down queue the
+    /// write. Fails only if no node is up. Accepted writes are recorded in
+    /// the write-ahead journal (as auto-committed redo records) so crash
     /// recovery can replay them.
     pub fn put(
         &self,
         row_key: &str,
         column: &str,
-        value: Value,
+        value: CellValue,
         timestamp: Timestamp,
     ) -> Result<()> {
         let op = JournalOp::Put {
             row_key: row_key.to_string(),
             column: column.to_string(),
-            value: value.clone(),
+            value,
             timestamp,
         };
-        self.apply_put(row_key, column, value, timestamp)?;
-        self.journal.log_apply(op);
+        self.check_writable(&op)?;
+        self.apply_logged(op);
         Ok(())
     }
 
-    /// Applies a cell write to the nodes (hinting the down ones) without
-    /// touching the journal — shared by the journaling front doors and the
-    /// recovery replay.
-    fn apply_put(
-        &self,
-        row_key: &str,
-        column: &str,
-        value: Value,
-        timestamp: Timestamp,
-    ) -> Result<()> {
-        let cell = Cell::new(value, timestamp);
-        let mut accepted = 0;
-        for node in &self.nodes {
-            if node.put(row_key, column, cell.value.clone(), cell.timestamp) {
-                accepted += 1;
-            } else {
-                self.hints.lock().push_back(Hint {
-                    datacenter: node.datacenter(),
-                    row_key: row_key.to_string(),
-                    column: column.to_string(),
-                    cell: cell.clone(),
-                });
-            }
-        }
-        if accepted == 0 {
-            Err(ScaliaError::DatacenterUnavailable(
+    /// A put needs at least one node up to take it; the other op kinds are
+    /// queued for every node if need be.
+    fn check_writable(&self, op: &JournalOp) -> Result<()> {
+        if matches!(op, JournalOp::Put { .. }) && !self.nodes.iter().any(|n| n.is_up()) {
+            return Err(ScaliaError::DatacenterUnavailable(
                 self.nodes.first().map(|n| n.datacenter().0).unwrap_or(0),
-            ))
-        } else {
-            Ok(())
+            ));
         }
+        Ok(())
     }
 
-    /// Applies one journal op to the nodes (no journaling). Returns the
-    /// cells a `Prune` removed (union across nodes, deduplicated), empty for
+    /// Applies one op to every node without journaling it — shared by the
+    /// journaling front doors and the recovery replay. Each node first
+    /// replays the ops it has queued, then takes this one; a node that is
+    /// down queues it instead. Returns the cells a `Prune` removed (union
+    /// across nodes, deduplicated by timestamp, oldest first), empty for
     /// the other op kinds.
-    fn apply_op(&self, op: &JournalOp) -> Result<Vec<Cell>> {
-        match op {
-            JournalOp::Put {
-                row_key,
-                column,
-                value,
-                timestamp,
-            } => self
-                .apply_put(row_key, column, value.clone(), *timestamp)
-                .map(|()| Vec::new()),
-            JournalOp::DeleteRow { row_key } => {
-                for node in &self.nodes {
-                    node.delete_row(row_key);
-                }
-                Ok(Vec::new())
-            }
-            JournalOp::DeleteColumn { row_key, column } => {
-                for node in &self.nodes {
-                    node.delete_column(row_key, column);
-                }
-                Ok(Vec::new())
-            }
-            JournalOp::Prune { row_key, column } => {
-                let mut removed: Vec<Cell> = Vec::new();
-                for node in &self.nodes {
-                    for cell in node.prune_old_versions(row_key, column) {
+    fn apply_op(&self, op: &JournalOp) -> Vec<Cell> {
+        let mut removed: Vec<Cell> = Vec::new();
+        for (node, backlog) in self.nodes.iter().zip(&self.backlogs) {
+            let mut backlog = backlog.lock();
+            let applied = if catch_up(node, &mut backlog) {
+                node.apply(op)
+            } else {
+                None
+            };
+            match applied {
+                Some(cells) => {
+                    for cell in cells {
                         if !removed.iter().any(|c| c.timestamp == cell.timestamp) {
                             removed.push(cell);
                         }
                     }
                 }
-                removed.sort_by_key(|c| c.timestamp);
-                Ok(removed)
+                None => backlog.push_back(op.clone()),
             }
         }
+        removed.sort_by_key(|c| c.timestamp);
+        removed
+    }
+
+    /// Applies one auto-committed op and journals it.
+    fn apply_logged(&self, op: JournalOp) -> Vec<Cell> {
+        let removed = self.apply_op(&op);
+        self.journal.log_apply(op);
+        removed
     }
 
     /// Atomically applies a batch of operations under write-ahead logging:
@@ -187,9 +171,8 @@ impl ReplicatedStore {
     /// nothing across a crash (old state if the crash beat the `Begin`
     /// record, new state otherwise).
     ///
-    /// Returns the union of cells removed by the batch's `Prune` ops
-    /// (deduplicated by timestamp, sorted) — the engine deletes their
-    /// chunks.
+    /// Returns the cells removed by the batch's `Prune` ops, oldest first —
+    /// the engine deletes the chunks of the metadata versions among them.
     ///
     /// Crash points visited (in order): `txn::before-log`, `txn::logged`,
     /// `txn::torn` (after the first op applied), `txn::applied`.
@@ -199,11 +182,8 @@ impl ReplicatedStore {
         self.crash_check("txn::logged")?;
         let mut removed: Vec<Cell> = Vec::new();
         for (i, op) in ops.iter().enumerate() {
-            for cell in self.apply_op(op)? {
-                if !removed.iter().any(|c| c.timestamp == cell.timestamp) {
-                    removed.push(cell);
-                }
-            }
+            self.check_writable(op)?;
+            removed.extend(self.apply_op(op));
             if i == 0 {
                 self.crash_check("txn::torn")?;
             }
@@ -247,29 +227,35 @@ impl ReplicatedStore {
     }
 
     /// Crash recovery: restores every node from `checkpoint` (bringing it
-    /// up), drops volatile hinted handoffs, and replays the journal in
-    /// order. Committed transactions and auto-committed singles are redone
-    /// as logged; a `Begin` without a `Commit` (a transaction interrupted by
+    /// up), drops the volatile op queues, and replays the journal in order.
+    /// Committed transactions and auto-committed singles are redone as
+    /// logged; a `Begin` without a `Commit` (a transaction interrupted by
     /// the crash) is **redone to completion** — its intent was durable — and
     /// then marked committed, so recovery is idempotent. After recovery the
     /// store holds either the pre-transaction or the post-transaction state
     /// for every interrupted commit, never a torn mixture.
+    ///
+    /// The replay cannot fail: the one error a mutation has — a put with no
+    /// node up — is ruled out because every node was just brought up, so
+    /// every op applies on every node.
     pub fn recover(&self, checkpoint: &StoreCheckpoint) {
         for (i, node) in self.nodes.iter().enumerate() {
             node.set_up(true);
             let rows = checkpoint.node_rows.get(i).cloned().unwrap_or_default();
             node.restore(rows);
         }
-        self.hints.lock().clear();
+        for backlog in &self.backlogs {
+            backlog.lock().clear();
+        }
         let uncommitted = self.journal.uncommitted();
         for record in self.journal.records() {
             match record {
                 JournalRecord::Apply(op) => {
-                    let _ = self.apply_op(&op);
+                    self.apply_op(&op);
                 }
                 JournalRecord::Begin { ops, .. } => {
                     for op in &ops {
-                        let _ = self.apply_op(op);
+                        self.apply_op(op);
                     }
                 }
                 JournalRecord::Commit { .. } => {}
@@ -306,7 +292,7 @@ impl ReplicatedStore {
     /// container index behind LIST): [`Self::get_latest`] serves from a
     /// *single* node, which is correct only for the node anti-entropy has
     /// caught up — a replica that was down during writes and came back
-    /// before its hints replayed would otherwise serve arbitrarily stale
+    /// before its queued ops replayed would otherwise serve arbitrarily stale
     /// cells. Merging across replicas reads through that lag: any up node
     /// that accepted the write supplies the fresh cell.
     pub fn get_row_merged(&self, row_key: &str) -> BTreeMap<String, Cell> {
@@ -354,39 +340,32 @@ impl ReplicatedStore {
         Vec::new()
     }
 
-    /// Deletes a row on every reachable node (journaled).
+    /// Deletes a row on every node, queueing the delete for nodes that are
+    /// down. Journaled.
     pub fn delete_row(&self, row_key: &str) {
-        for node in &self.nodes {
-            node.delete_row(row_key);
-        }
-        self.journal.log_apply(JournalOp::DeleteRow {
+        self.apply_logged(JournalOp::DeleteRow {
             row_key: row_key.to_string(),
         });
     }
 
-    /// Deletes a single column of a row on every reachable node (statistics
-    /// garbage collection: dropping over-retention samples). Journaled.
+    /// Deletes a single column of a row on every node (statistics garbage
+    /// collection: dropping over-retention samples), queueing the delete for
+    /// nodes that are down. Journaled.
     pub fn delete_column(&self, row_key: &str, column: &str) {
-        for node in &self.nodes {
-            node.delete_column(row_key, column);
-        }
-        self.journal.log_apply(JournalOp::DeleteColumn {
+        self.apply_logged(JournalOp::DeleteColumn {
             row_key: row_key.to_string(),
             column: column.to_string(),
         });
     }
 
-    /// Prunes deprecated versions of a column on every reachable node and
-    /// returns the union of removed cells (deduplicated by timestamp).
-    /// Journaled.
+    /// Prunes deprecated versions of a column on every node (queued for
+    /// nodes that are down) and returns the union of cells removed from the
+    /// up nodes (deduplicated by timestamp). Journaled.
     pub fn prune_old_versions(&self, row_key: &str, column: &str) -> Vec<Cell> {
-        let op = JournalOp::Prune {
+        self.apply_logged(JournalOp::Prune {
             row_key: row_key.to_string(),
             column: column.to_string(),
-        };
-        let removed = self.apply_op(&op).unwrap_or_default();
-        self.journal.log_apply(op);
-        removed
+        })
     }
 
     /// Row keys modified since `since` on any reachable node (deduplicated).
@@ -401,49 +380,12 @@ impl ReplicatedStore {
         keys
     }
 
-    /// Replays hinted handoffs to recovered nodes and merges every row of
-    /// every reachable node into every other reachable node, making the
-    /// datacenters eventually consistent.
+    /// Replays the queued ops of every node that is back up, in order,
+    /// making the datacenters eventually consistent. With nothing queued it
+    /// touches no row.
     pub fn anti_entropy(&self) {
-        // Replay hints to nodes that are back up.
-        let mut hints = self.hints.lock();
-        let mut remaining = VecDeque::new();
-        while let Some(hint) = hints.pop_front() {
-            let delivered = self
-                .node(hint.datacenter)
-                .map(|node| {
-                    node.put(
-                        &hint.row_key,
-                        &hint.column,
-                        hint.cell.value.clone(),
-                        hint.cell.timestamp,
-                    )
-                })
-                .unwrap_or(false);
-            if !delivered {
-                remaining.push_back(hint);
-            }
-        }
-        *hints = remaining;
-        drop(hints);
-
-        // Pairwise merge of reachable nodes.
-        let snapshots: Vec<_> = self
-            .nodes
-            .iter()
-            .filter(|n| n.is_up())
-            .map(|n| (n.clone(), n.snapshot()))
-            .collect();
-        for (_, snapshot) in &snapshots {
-            for (row_key, row) in snapshot {
-                for (column, cells) in row {
-                    for cell in cells {
-                        for (target, _) in &snapshots {
-                            target.put(row_key, column, cell.value.clone(), cell.timestamp);
-                        }
-                    }
-                }
-            }
+        for (node, backlog) in self.nodes.iter().zip(&self.backlogs) {
+            catch_up(node, &mut backlog.lock());
         }
     }
 
@@ -457,7 +399,14 @@ impl ReplicatedStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use serde_json::json;
+
+    fn num(x: u64) -> CellValue {
+        CellValue::Lifetime(x as f64)
+    }
+
+    fn tag(s: &str) -> CellValue {
+        CellValue::Class(Some(s.to_string()))
+    }
 
     fn store() -> ReplicatedStore {
         ReplicatedStore::with_datacenters(2)
@@ -466,9 +415,9 @@ mod tests {
     #[test]
     fn writes_replicate_to_all_datacenters() {
         let s = store();
-        s.put("r", "c", json!("v"), Timestamp::new(1, 0)).unwrap();
+        s.put("r", "c", tag("v"), Timestamp::new(1, 0)).unwrap();
         for node in s.nodes() {
-            assert_eq!(node.get_latest("r", "c").unwrap().value, json!("v"));
+            assert_eq!(node.get_latest("r", "c").unwrap().value, tag("v"));
         }
         assert_eq!(s.pending_hints(), 0);
     }
@@ -476,18 +425,18 @@ mod tests {
     #[test]
     fn reads_prefer_local_datacenter_but_fail_over() {
         let s = store();
-        s.put("r", "c", json!(1), Timestamp::new(1, 0)).unwrap();
+        s.put("r", "c", num(1), Timestamp::new(1, 0)).unwrap();
         // Take dc_0 down; a dc_0-local read must still succeed via dc_1.
         s.nodes()[0].set_up(false);
         let cell = s.get_latest(DatacenterId::new(0), "r", "c").unwrap();
-        assert_eq!(cell.value, json!(1));
+        assert_eq!(cell.value, num(1));
     }
 
     #[test]
     fn write_succeeds_while_one_node_is_down_then_heals() {
         let s = store();
         s.nodes()[1].set_up(false);
-        s.put("r", "c", json!("during-outage"), Timestamp::new(5, 0))
+        s.put("r", "c", tag("during-outage"), Timestamp::new(5, 0))
             .unwrap();
         assert_eq!(s.pending_hints(), 1);
         // The down node has nothing yet.
@@ -498,7 +447,7 @@ mod tests {
         assert_eq!(s.pending_hints(), 0);
         assert_eq!(
             s.nodes()[1].get_latest("r", "c").unwrap().value,
-            json!("during-outage")
+            tag("during-outage")
         );
     }
 
@@ -507,33 +456,18 @@ mod tests {
         let s = store();
         s.nodes()[0].set_up(false);
         s.nodes()[1].set_up(false);
-        let err = s.put("r", "c", json!(1), Timestamp::new(1, 0)).unwrap_err();
+        let err = s.put("r", "c", num(1), Timestamp::new(1, 0)).unwrap_err();
         assert!(matches!(err, ScaliaError::DatacenterUnavailable(_)));
-    }
-
-    #[test]
-    fn anti_entropy_merges_divergent_nodes() {
-        let s = store();
-        // Simulate a partition: each datacenter gets a different concurrent
-        // write applied only locally.
-        s.nodes()[0].put("r", "c", json!("a"), Timestamp::new(10, 0));
-        s.nodes()[1].put("r", "c", json!("b"), Timestamp::new(10, 1));
-        s.anti_entropy();
-        for node in s.nodes() {
-            let versions = node.get_versions("r", "c");
-            assert_eq!(versions.len(), 2, "both versions present after merge");
-            assert_eq!(node.get_latest("r", "c").unwrap().value, json!("b"));
-        }
     }
 
     #[test]
     fn prune_old_versions_across_datacenters() {
         let s = store();
-        s.put("r", "c", json!("old"), Timestamp::new(1, 0)).unwrap();
-        s.put("r", "c", json!("new"), Timestamp::new(2, 0)).unwrap();
+        s.put("r", "c", tag("old"), Timestamp::new(1, 0)).unwrap();
+        s.put("r", "c", tag("new"), Timestamp::new(2, 0)).unwrap();
         let removed = s.prune_old_versions("r", "c");
         assert_eq!(removed.len(), 1);
-        assert_eq!(removed[0].value, json!("old"));
+        assert_eq!(removed[0].value, tag("old"));
         for node in s.nodes() {
             assert_eq!(node.get_versions("r", "c").len(), 1);
         }
@@ -542,10 +476,10 @@ mod tests {
     #[test]
     fn modified_since_union() {
         let s = store();
-        s.put("a", "c", json!(1), Timestamp::new(10, 0)).unwrap();
+        s.put("a", "c", num(1), Timestamp::new(10, 0)).unwrap();
         // A write that only reached dc_1 (dc_0 down).
         s.nodes()[0].set_up(false);
-        s.put("b", "c", json!(1), Timestamp::new(20, 0)).unwrap();
+        s.put("b", "c", num(1), Timestamp::new(20, 0)).unwrap();
         s.nodes()[0].set_up(true);
         let keys = s.modified_since(Timestamp::new(0, 0));
         assert_eq!(keys, vec!["a".to_string(), "b".to_string()]);
@@ -554,7 +488,7 @@ mod tests {
     #[test]
     fn delete_row_everywhere() {
         let s = store();
-        s.put("r", "c", json!(1), Timestamp::new(1, 0)).unwrap();
+        s.put("r", "c", num(1), Timestamp::new(1, 0)).unwrap();
         s.delete_row("r");
         for node in s.nodes() {
             assert!(node.get_latest("r", "c").is_none());
@@ -564,20 +498,20 @@ mod tests {
     #[test]
     fn transaction_applies_all_ops_and_returns_pruned_cells() {
         let s = store();
-        s.put("r", "meta", json!("old"), Timestamp::new(1, 0))
+        s.put("r", "meta", tag("old"), Timestamp::new(1, 0))
             .unwrap();
         let removed = s
             .transaction(vec![
                 JournalOp::Put {
                     row_key: "r".into(),
                     column: "meta".into(),
-                    value: json!("new"),
+                    value: tag("new"),
                     timestamp: Timestamp::new(2, 0),
                 },
                 JournalOp::Put {
                     row_key: "container:c".into(),
                     column: "k".into(),
-                    value: json!(true),
+                    value: CellValue::Listed(true),
                     timestamp: Timestamp::new(2, 0),
                 },
                 JournalOp::Prune {
@@ -587,10 +521,10 @@ mod tests {
             ])
             .unwrap();
         assert_eq!(removed.len(), 1);
-        assert_eq!(removed[0].value, json!("old"));
+        assert_eq!(removed[0].value, tag("old"));
         for node in s.nodes() {
             assert_eq!(node.get_versions("r", "meta").len(), 1);
-            assert_eq!(node.get_latest("r", "meta").unwrap().value, json!("new"));
+            assert_eq!(node.get_latest("r", "meta").unwrap().value, tag("new"));
             assert!(node.get_latest("container:c", "k").is_some());
         }
         assert!(s.journal().uncommitted().is_empty());
@@ -599,15 +533,15 @@ mod tests {
     #[test]
     fn recovery_replays_journal_onto_checkpoint() {
         let s = store();
-        s.put("a", "c", json!(1), Timestamp::new(1, 0)).unwrap();
+        s.put("a", "c", num(1), Timestamp::new(1, 0)).unwrap();
         let cp = s.checkpoint();
         // Post-checkpoint history: a put, a delete, a committed transaction.
-        s.put("b", "c", json!(2), Timestamp::new(2, 0)).unwrap();
+        s.put("b", "c", num(2), Timestamp::new(2, 0)).unwrap();
         s.delete_row("a");
         s.transaction(vec![JournalOp::Put {
             row_key: "t".into(),
             column: "c".into(),
-            value: json!(3),
+            value: num(3),
             timestamp: Timestamp::new(3, 0),
         }])
         .unwrap();
@@ -618,8 +552,8 @@ mod tests {
         s.recover(&cp);
         for node in s.nodes() {
             assert!(node.get_latest("a", "c").is_none(), "delete replayed");
-            assert_eq!(node.get_latest("b", "c").unwrap().value, json!(2));
-            assert_eq!(node.get_latest("t", "c").unwrap().value, json!(3));
+            assert_eq!(node.get_latest("b", "c").unwrap().value, num(2));
+            assert_eq!(node.get_latest("t", "c").unwrap().value, num(3));
         }
     }
 
@@ -627,7 +561,7 @@ mod tests {
     fn crash_mid_transaction_recovers_to_new_state_atomically() {
         for label in ["txn::logged", "txn::torn", "txn::applied"] {
             let s = store();
-            s.put("r", "meta", json!("old"), Timestamp::new(1, 0))
+            s.put("r", "meta", tag("old"), Timestamp::new(1, 0))
                 .unwrap();
             let cp = s.checkpoint();
             let fire = label.to_string();
@@ -637,7 +571,7 @@ mod tests {
                     JournalOp::Put {
                         row_key: "r".into(),
                         column: "meta".into(),
-                        value: json!("new"),
+                        value: tag("new"),
                         timestamp: Timestamp::new(2, 0),
                     },
                     JournalOp::Prune {
@@ -655,7 +589,7 @@ mod tests {
                 assert_eq!(node.get_versions("r", "meta").len(), 1, "{label}");
                 assert_eq!(
                     node.get_latest("r", "meta").unwrap().value,
-                    json!("new"),
+                    tag("new"),
                     "{label}"
                 );
             }
@@ -671,7 +605,7 @@ mod tests {
     #[test]
     fn crash_before_log_leaves_old_state() {
         let s = store();
-        s.put("r", "meta", json!("old"), Timestamp::new(1, 0))
+        s.put("r", "meta", tag("old"), Timestamp::new(1, 0))
             .unwrap();
         let cp = s.checkpoint();
         s.set_crash_hook(Some(Arc::new(|l: &str| l == "txn::before-log")));
@@ -679,14 +613,14 @@ mod tests {
             .transaction(vec![JournalOp::Put {
                 row_key: "r".into(),
                 column: "meta".into(),
-                value: json!("new"),
+                value: tag("new"),
                 timestamp: Timestamp::new(2, 0),
             }])
             .is_err());
         s.set_crash_hook(None);
         s.recover(&cp);
         for node in s.nodes() {
-            assert_eq!(node.get_latest("r", "meta").unwrap().value, json!("old"));
+            assert_eq!(node.get_latest("r", "meta").unwrap().value, tag("old"));
             assert_eq!(node.get_versions("r", "meta").len(), 1);
         }
     }
@@ -695,7 +629,7 @@ mod tests {
     fn checkpoint_truncates_committed_journal_prefix() {
         let s = store();
         for i in 0..10 {
-            s.put("r", "c", json!(i), Timestamp::new(i, 0)).unwrap();
+            s.put("r", "c", num(i), Timestamp::new(i, 0)).unwrap();
         }
         assert_eq!(s.journal().len(), 10);
         let cp = s.checkpoint();
@@ -704,7 +638,137 @@ mod tests {
         s.recover(&cp);
         assert_eq!(
             s.get_latest(DatacenterId::new(0), "r", "c").unwrap().value,
-            json!(9)
+            num(9)
         );
+    }
+
+    #[test]
+    fn down_node_catches_up_on_missed_deletes_and_prunes() {
+        let s = store();
+        s.put("r", "c", tag("old"), Timestamp::new(1, 0)).unwrap();
+        s.put("r", "c", tag("new"), Timestamp::new(2, 0)).unwrap();
+        s.put("gone", "c", num(1), Timestamp::new(3, 0)).unwrap();
+        s.put("x", "a", num(1), Timestamp::new(4, 0)).unwrap();
+        s.put("x", "b", num(2), Timestamp::new(5, 0)).unwrap();
+        s.nodes()[1].set_up(false);
+        assert_eq!(s.prune_old_versions("r", "c").len(), 1);
+        s.delete_row("gone");
+        s.delete_column("x", "a");
+        assert_eq!(s.pending_hints(), 3, "every op kind is queued");
+        s.nodes()[1].set_up(true);
+        s.anti_entropy();
+        assert_eq!(s.pending_hints(), 0);
+        for node in s.nodes() {
+            assert_eq!(node.get_versions("r", "c").len(), 1);
+            assert_eq!(node.get_latest("r", "c").unwrap().value, tag("new"));
+            assert!(
+                node.get_row("gone").is_none(),
+                "a missed delete stays deleted"
+            );
+            assert!(node.get_latest("x", "a").is_none());
+            assert_eq!(node.get_latest("x", "b").unwrap().value, num(2));
+        }
+    }
+
+    #[test]
+    fn queued_delete_never_erases_a_newer_write() {
+        // The newer write reaches the lagging node after it came back up,
+        // or while it is still down: either way the delete replays first.
+        for still_down in [false, true] {
+            let s = store();
+            s.put("k", "meta", tag("v1"), Timestamp::new(1, 0)).unwrap();
+            s.nodes()[1].set_up(false);
+            s.delete_row("k");
+            s.nodes()[1].set_up(!still_down);
+            s.put("k", "meta", tag("v2"), Timestamp::new(5, 0)).unwrap();
+            s.nodes()[1].set_up(true);
+            s.anti_entropy();
+            assert_eq!(s.pending_hints(), 0);
+            for node in s.nodes() {
+                let versions = node.get_versions("k", "meta");
+                assert_eq!(versions.len(), 1, "still_down = {still_down}");
+                assert_eq!(versions[0].value, tag("v2"), "still_down = {still_down}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_lagging_node_catches_up_before_taking_a_newer_op() {
+        let s = store();
+        s.nodes()[1].set_up(false);
+        s.put("a", "c", num(1), Timestamp::new(1, 0)).unwrap();
+        // Node 1 is back but not caught up; node 0 goes down. The write
+        // still succeeds on node 1, behind the op it missed.
+        s.nodes()[1].set_up(true);
+        s.nodes()[0].set_up(false);
+        s.put("b", "c", num(2), Timestamp::new(2, 0)).unwrap();
+        let lagging = &s.nodes()[1];
+        assert_eq!(lagging.get_latest("a", "c").unwrap().value, num(1));
+        assert_eq!(lagging.get_latest("b", "c").unwrap().value, num(2));
+        s.nodes()[0].set_up(true);
+        s.anti_entropy();
+        assert_eq!(s.pending_hints(), 0);
+        assert_eq!(s.nodes()[0].get_latest("b", "c").unwrap().value, num(2));
+    }
+
+    #[test]
+    fn a_put_no_node_accepts_is_queued_nowhere() {
+        let s = store();
+        for node in s.nodes() {
+            node.set_up(false);
+        }
+        assert!(s.put("r", "c", num(1), Timestamp::new(1, 0)).is_err());
+        assert_eq!(s.pending_hints(), 0);
+        assert!(s.journal().is_empty());
+        for node in s.nodes() {
+            node.set_up(true);
+        }
+        s.anti_entropy();
+        assert!(s.nodes().iter().all(|n| n.get_row("r").is_none()));
+    }
+
+    #[test]
+    fn anti_entropy_with_nothing_queued_touches_no_row() {
+        let s = store();
+        s.put("r", "c", num(1), Timestamp::new(1, 0)).unwrap();
+        // A cell written on one node behind the store's back: only a
+        // whole-store merge would copy it to the other node.
+        s.nodes()[0].put("side", "c", num(2), Timestamp::new(2, 0));
+        s.anti_entropy();
+        assert!(s.nodes()[1].get_row("side").is_none());
+        assert!(s.nodes()[1].modified_since(Timestamp::new(2, 0)).is_empty());
+    }
+
+    #[test]
+    fn transaction_returns_pruned_cells_of_every_column_sharing_a_timestamp() {
+        // One commit writes several columns under one timestamp; pruning
+        // them later must report every removed cell, whatever the order of
+        // the prunes — a version's metadata is never shadowed by a
+        // same-timestamp cell of another column.
+        let s = store();
+        let t1 = Timestamp::new(1, 0);
+        s.put("repair:r", "item", tag("old-item"), t1).unwrap();
+        s.put("r", "meta", tag("old-meta"), t1).unwrap();
+        let t2 = Timestamp::new(2, 0);
+        let put = |row: &str, column: &str, value: &str| JournalOp::Put {
+            row_key: row.into(),
+            column: column.into(),
+            value: tag(value),
+            timestamp: t2,
+        };
+        let prune = |row: &str, column: &str| JournalOp::Prune {
+            row_key: row.into(),
+            column: column.into(),
+        };
+        let removed = s
+            .transaction(vec![
+                put("r", "meta", "new-meta"),
+                put("repair:r", "item", "new-item"),
+                prune("repair:r", "item"),
+                prune("r", "meta"),
+            ])
+            .unwrap();
+        let values: Vec<&CellValue> = removed.iter().map(|c| &c.value).collect();
+        assert_eq!(values, vec![&tag("old-item"), &tag("old-meta")]);
     }
 }

@@ -20,15 +20,13 @@
 //! Statistics rows are always written with globally unique `(row, column,
 //! timestamp)` coordinates, so — as the paper notes — they never conflict.
 
-use crate::model::Timestamp;
+use crate::model::{CellValue, Timestamp};
 use crate::replication::ReplicatedStore;
 use crate::store::NoSqlNode;
 use scalia_types::error::Result;
 use scalia_types::ids::DatacenterId;
-use scalia_types::size::ByteSize;
 use scalia_types::stats::{AccessHistory, PeriodStats};
 use scalia_types::usage::ResourceUsage;
-use serde_json::json;
 use std::sync::Arc;
 
 /// Prefix of per-object statistics rows.
@@ -137,15 +135,8 @@ impl StatisticsStore {
     ) -> Result<()> {
         let row = Self::obj_row(object_row_key);
         let column = format!("period:{:012}", stats.period);
-        let value = json!({
-            "period": stats.period,
-            "storage": stats.storage.bytes(),
-            "bw_in": stats.bw_in.bytes(),
-            "bw_out": stats.bw_out.bytes(),
-            "reads": stats.reads,
-            "writes": stats.writes,
-        });
-        self.db.put(&row, &column, value, timestamp)?;
+        self.db
+            .put(&row, &column, CellValue::Period(*stats), timestamp)?;
         self.mark_accessed(object_row_key, class_id, timestamp)
     }
 
@@ -165,10 +156,7 @@ impl StatisticsStore {
             Self::dirty_bucket(timestamp),
             Self::dirty_shard(object_row_key),
         );
-        let value = match class_id {
-            Some(class_id) => json!(class_id),
-            None => json!(true),
-        };
+        let value = CellValue::Class(class_id.map(str::to_string));
         self.db.put(&row, object_row_key, value, timestamp)
     }
 
@@ -184,7 +172,7 @@ impl StatisticsStore {
         self.db.put(
             &Self::obj_row(object_row_key),
             "class",
-            json!(class_id),
+            CellValue::Class(Some(class_id.to_string())),
             timestamp,
         )?;
         self.mark_accessed(object_row_key, Some(class_id), timestamp)
@@ -207,13 +195,9 @@ impl StatisticsStore {
             "p:{:012}:{}:{}",
             stats.period, timestamp.secs, timestamp.seq
         );
-        let value = json!({
-            "storage": stats.storage.bytes(),
-            "bw_in": stats.bw_in.bytes(),
-            "bw_out": stats.bw_out.bytes(),
-            "reads": stats.reads,
-            "writes": stats.writes,
-            "objects": objects,
+        let value = CellValue::Rollup(ClassPeriodRecord {
+            stats: *stats,
+            objects,
         });
         self.db
             .put(&Self::class_row(class_id), &column, value, timestamp)
@@ -221,9 +205,14 @@ impl StatisticsStore {
 
     /// The class recorded for an object, if any.
     pub fn object_class(&self, object_row_key: &str) -> Option<String> {
-        self.db
-            .get_latest(self.local, &Self::obj_row(object_row_key), "class")
-            .and_then(|c| c.value.as_str().map(str::to_string))
+        match self
+            .db
+            .get_latest(self.local, &Self::obj_row(object_row_key), "class")?
+            .value
+        {
+            CellValue::Class(class_id) => class_id,
+            _ => None,
+        }
     }
 
     /// Reconstructs the access history of an object from its statistics row,
@@ -239,13 +228,9 @@ impl StatisticsStore {
         let mut periods: Vec<PeriodStats> = node
             .latest_cells_with_prefix(&row, "period:")
             .into_iter()
-            .map(|(_, cell)| PeriodStats {
-                period: cell.value["period"].as_u64().unwrap_or(0),
-                storage: ByteSize::from_bytes(cell.value["storage"].as_u64().unwrap_or(0)),
-                bw_in: ByteSize::from_bytes(cell.value["bw_in"].as_u64().unwrap_or(0)),
-                bw_out: ByteSize::from_bytes(cell.value["bw_out"].as_u64().unwrap_or(0)),
-                reads: cell.value["reads"].as_u64().unwrap_or(0),
-                writes: cell.value["writes"].as_u64().unwrap_or(0),
+            .filter_map(|(_, cell)| match cell.value {
+                CellValue::Period(stats) => Some(stats),
+                _ => None,
             })
             .collect();
         periods.sort_by_key(|p| p.period);
@@ -337,7 +322,10 @@ impl StatisticsStore {
                 if cell.timestamp < since {
                     return;
                 }
-                let class = cell.value.as_str();
+                let class = match &cell.value {
+                    CellValue::Class(class) => class.as_deref(),
+                    _ => None,
+                };
                 match index.get(column) {
                     Some(&at) => {
                         // The newest classified mark wins: a classified tag
@@ -404,16 +392,10 @@ impl StatisticsStore {
         usage: &ResourceUsage,
         timestamp: Timestamp,
     ) -> Result<()> {
-        let value = json!({
-            "storage_gb_hours": usage.storage_gb_hours,
-            "bw_in": usage.bw_in.bytes(),
-            "bw_out": usage.bw_out.bytes(),
-            "ops": usage.ops,
-        });
         self.db.put(
             &Self::class_row(class_id),
             &format!("usage:{}:{}", timestamp.secs, timestamp.seq),
-            value,
+            CellValue::Usage(*usage),
             timestamp,
         )
     }
@@ -427,11 +409,9 @@ impl StatisticsStore {
         let samples: Vec<ResourceUsage> = node
             .latest_cells_with_prefix(&row, "usage:")
             .into_iter()
-            .map(|(_, cell)| ResourceUsage {
-                storage_gb_hours: cell.value["storage_gb_hours"].as_f64().unwrap_or(0.0),
-                bw_in: ByteSize::from_bytes(cell.value["bw_in"].as_u64().unwrap_or(0)),
-                bw_out: ByteSize::from_bytes(cell.value["bw_out"].as_u64().unwrap_or(0)),
-                ops: cell.value["ops"].as_u64().unwrap_or(0),
+            .filter_map(|(_, cell)| match cell.value {
+                CellValue::Usage(usage) => Some(usage),
+                _ => None,
             })
             .collect();
         if samples.is_empty() {
@@ -469,17 +449,19 @@ impl StatisticsStore {
             else {
                 continue;
             };
+            let CellValue::Rollup(delta) = cell.value else {
+                continue;
+            };
             let entry = by_period.entry(period).or_insert(ClassPeriodRecord {
                 stats: PeriodStats::empty(period),
                 objects: 0,
             });
-            entry.objects += cell.value["objects"].as_u64().unwrap_or(0);
-            entry.stats.storage +=
-                ByteSize::from_bytes(cell.value["storage"].as_u64().unwrap_or(0));
-            entry.stats.bw_in += ByteSize::from_bytes(cell.value["bw_in"].as_u64().unwrap_or(0));
-            entry.stats.bw_out += ByteSize::from_bytes(cell.value["bw_out"].as_u64().unwrap_or(0));
-            entry.stats.reads += cell.value["reads"].as_u64().unwrap_or(0);
-            entry.stats.writes += cell.value["writes"].as_u64().unwrap_or(0);
+            entry.objects += delta.objects;
+            entry.stats.storage += delta.stats.storage;
+            entry.stats.bw_in += delta.stats.bw_in;
+            entry.stats.bw_out += delta.stats.bw_out;
+            entry.stats.reads += delta.stats.reads;
+            entry.stats.writes += delta.stats.writes;
         }
         let mut records: Vec<(u64, ClassPeriodRecord)> = by_period.into_iter().collect();
         if records.len() > max_periods.max(1) {
@@ -542,7 +524,7 @@ impl StatisticsStore {
         self.db.put(
             &Self::class_row(class_id),
             &format!("lifetime:{}:{}", timestamp.secs, timestamp.seq),
-            json!(lifetime_hours),
+            CellValue::Lifetime(lifetime_hours),
             timestamp,
         )
     }
@@ -556,7 +538,10 @@ impl StatisticsStore {
         let mut lifetimes: Vec<f64> = node
             .latest_cells_with_prefix(&row, "lifetime:")
             .into_iter()
-            .filter_map(|(_, cell)| cell.value.as_f64())
+            .filter_map(|(_, cell)| match cell.value {
+                CellValue::Lifetime(hours) => Some(hours),
+                _ => None,
+            })
             .collect();
         lifetimes.sort_by(|a, b| a.partial_cmp(b).unwrap());
         lifetimes
@@ -588,6 +573,7 @@ impl StatisticsStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use scalia_types::size::ByteSize;
 
     fn store() -> StatisticsStore {
         StatisticsStore::new(

@@ -6,10 +6,10 @@
 //! "which objects were accessed or modified since the last optimisation
 //! procedure?" (§III-A3).
 
-use crate::model::{insert_version, latest, Cell, Row, Timestamp};
+use crate::journal::JournalOp;
+use crate::model::{insert_version, latest, Cell, CellValue, Row, Timestamp};
 use parking_lot::RwLock;
 use scalia_types::ids::DatacenterId;
-use serde_json::Value;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -54,7 +54,7 @@ impl NoSqlNode {
 
     /// Writes a versioned cell. Returns `false` (and stores nothing) if the
     /// node is down.
-    pub fn put(&self, row_key: &str, column: &str, value: Value, timestamp: Timestamp) -> bool {
+    pub fn put(&self, row_key: &str, column: &str, value: CellValue, timestamp: Timestamp) -> bool {
         if !self.is_up() {
             return false;
         }
@@ -71,6 +71,35 @@ impl NoSqlNode {
         true
     }
 
+    /// Applies one journaled mutation. Returns `None`, having applied
+    /// nothing, when the node is down; otherwise the cells a `Prune`
+    /// removed (empty for the other op kinds).
+    pub fn apply(&self, op: &JournalOp) -> Option<Vec<Cell>> {
+        if !self.is_up() {
+            return None;
+        }
+        Some(match op {
+            JournalOp::Put {
+                row_key,
+                column,
+                value,
+                timestamp,
+            } => {
+                self.put(row_key, column, value.clone(), *timestamp);
+                Vec::new()
+            }
+            JournalOp::DeleteRow { row_key } => {
+                self.delete_row(row_key);
+                Vec::new()
+            }
+            JournalOp::DeleteColumn { row_key, column } => {
+                self.delete_column(row_key, column);
+                Vec::new()
+            }
+            JournalOp::Prune { row_key, column } => self.prune_old_versions(row_key, column),
+        })
+    }
+
     /// Latest version of a column, if present (and the node is up).
     pub fn get_latest(&self, row_key: &str, column: &str) -> Option<Cell> {
         if !self.is_up() {
@@ -85,7 +114,7 @@ impl NoSqlNode {
 
     /// Applies `read` to the latest cell of a column **without cloning it**
     /// — the zero-copy variant of [`Self::get_latest`] for hot point reads
-    /// (the optimiser decodes one digest per accessed object per cycle).
+    /// (every uncached get reads one metadata version).
     pub fn with_latest<T>(
         &self,
         row_key: &str,
@@ -291,7 +320,14 @@ impl NoSqlNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use serde_json::json;
+
+    fn num(x: u32) -> CellValue {
+        CellValue::Lifetime(x as f64)
+    }
+
+    fn tag(s: &str) -> CellValue {
+        CellValue::Class(Some(s.to_string()))
+    }
 
     fn node() -> NoSqlNode {
         NoSqlNode::new(DatacenterId::new(0))
@@ -300,14 +336,9 @@ mod tests {
     #[test]
     fn put_get_roundtrip() {
         let n = node();
-        assert!(n.put(
-            "row1",
-            "file_meta",
-            json!({"size": 42}),
-            Timestamp::new(1, 0)
-        ));
+        assert!(n.put("row1", "file_meta", num(42), Timestamp::new(1, 0)));
         let cell = n.get_latest("row1", "file_meta").unwrap();
-        assert_eq!(cell.value["size"], 42);
+        assert_eq!(cell.value, num(42));
         assert!(n.get_latest("row1", "missing").is_none());
         assert!(n.get_latest("missing", "file_meta").is_none());
         assert_eq!(n.row_count(), 1);
@@ -316,24 +347,24 @@ mod tests {
     #[test]
     fn versions_accumulate_and_latest_wins() {
         let n = node();
-        n.put("r", "c", json!("v1"), Timestamp::new(1, 0));
-        n.put("r", "c", json!("v2"), Timestamp::new(2, 0));
-        n.put("r", "c", json!("v0"), Timestamp::new(0, 5));
+        n.put("r", "c", tag("v1"), Timestamp::new(1, 0));
+        n.put("r", "c", tag("v2"), Timestamp::new(2, 0));
+        n.put("r", "c", tag("v0"), Timestamp::new(0, 5));
         assert_eq!(n.get_versions("r", "c").len(), 3);
-        assert_eq!(n.get_latest("r", "c").unwrap().value, json!("v2"));
+        assert_eq!(n.get_latest("r", "c").unwrap().value, tag("v2"));
     }
 
     #[test]
     fn prune_old_versions_returns_removed() {
         let n = node();
-        n.put("r", "c", json!("old"), Timestamp::new(1, 0));
-        n.put("r", "c", json!("mid"), Timestamp::new(2, 0));
-        n.put("r", "c", json!("new"), Timestamp::new(3, 0));
+        n.put("r", "c", tag("old"), Timestamp::new(1, 0));
+        n.put("r", "c", tag("mid"), Timestamp::new(2, 0));
+        n.put("r", "c", tag("new"), Timestamp::new(3, 0));
         let removed = n.prune_old_versions("r", "c");
         assert_eq!(removed.len(), 2);
-        assert_eq!(removed[0].value, json!("old"));
+        assert_eq!(removed[0].value, tag("old"));
         assert_eq!(n.get_versions("r", "c").len(), 1);
-        assert_eq!(n.get_latest("r", "c").unwrap().value, json!("new"));
+        assert_eq!(n.get_latest("r", "c").unwrap().value, tag("new"));
         // Pruning again is a no-op.
         assert!(n.prune_old_versions("r", "c").is_empty());
         assert!(n.prune_old_versions("missing", "c").is_empty());
@@ -342,8 +373,8 @@ mod tests {
     #[test]
     fn delete_row_and_column() {
         let n = node();
-        n.put("r", "a", json!(1), Timestamp::new(1, 0));
-        n.put("r", "b", json!(2), Timestamp::new(1, 1));
+        n.put("r", "a", num(1), Timestamp::new(1, 0));
+        n.put("r", "b", num(2), Timestamp::new(1, 1));
         assert!(n.delete_column("r", "a"));
         assert!(!n.delete_column("r", "a"));
         assert!(n.get_latest("r", "b").is_some());
@@ -355,9 +386,9 @@ mod tests {
     #[test]
     fn scan_prefix_and_snapshot() {
         let n = node();
-        n.put("stats:class1", "ops", json!(5), Timestamp::new(1, 0));
-        n.put("stats:class2", "ops", json!(9), Timestamp::new(1, 1));
-        n.put("meta:obj1", "file_meta", json!({}), Timestamp::new(1, 2));
+        n.put("stats:class1", "ops", num(5), Timestamp::new(1, 0));
+        n.put("stats:class2", "ops", num(9), Timestamp::new(1, 1));
+        n.put("meta:obj1", "file_meta", tag(""), Timestamp::new(1, 2));
         assert_eq!(n.scan_prefix("stats:").len(), 2);
         assert_eq!(n.scan_prefix("meta:").len(), 1);
         assert_eq!(n.scan_prefix("zzz").len(), 0);
@@ -367,9 +398,9 @@ mod tests {
     #[test]
     fn modified_since_tracks_latest_write() {
         let n = node();
-        n.put("a", "c", json!(1), Timestamp::new(10, 0));
-        n.put("b", "c", json!(1), Timestamp::new(20, 0));
-        n.put("a", "c", json!(2), Timestamp::new(30, 0));
+        n.put("a", "c", num(1), Timestamp::new(10, 0));
+        n.put("b", "c", num(1), Timestamp::new(20, 0));
+        n.put("a", "c", num(2), Timestamp::new(30, 0));
         let recent = n.modified_since(Timestamp::new(15, 0));
         assert!(recent.contains(&"a".to_string()));
         assert!(recent.contains(&"b".to_string()));
@@ -381,14 +412,14 @@ mod tests {
     #[test]
     fn restore_replaces_contents_and_rebuilds_modified_index() {
         let n = node();
-        n.put("old", "c", json!(1), Timestamp::new(5, 0));
+        n.put("old", "c", num(1), Timestamp::new(5, 0));
         let other = node();
-        other.put("a", "c", json!(10), Timestamp::new(10, 0));
-        other.put("a", "d", json!(11), Timestamp::new(12, 0));
-        other.put("b", "c", json!(20), Timestamp::new(20, 0));
+        other.put("a", "c", num(10), Timestamp::new(10, 0));
+        other.put("a", "d", num(11), Timestamp::new(12, 0));
+        other.put("b", "c", num(20), Timestamp::new(20, 0));
         n.restore(other.snapshot());
         assert!(n.get_latest("old", "c").is_none(), "old contents replaced");
-        assert_eq!(n.get_latest("a", "d").unwrap().value, json!(11));
+        assert_eq!(n.get_latest("a", "d").unwrap().value, num(11));
         assert_eq!(n.row_count(), 2);
         // The modified index reflects the snapshot's max timestamps.
         assert_eq!(n.modified_since(Timestamp::new(13, 0)), vec!["b"]);
@@ -404,14 +435,49 @@ mod tests {
     #[test]
     fn down_node_rejects_everything() {
         let n = node();
-        n.put("r", "c", json!(1), Timestamp::new(1, 0));
+        n.put("r", "c", num(1), Timestamp::new(1, 0));
         n.set_up(false);
         assert!(!n.is_up());
-        assert!(!n.put("r", "c", json!(2), Timestamp::new(2, 0)));
+        assert!(!n.put("r", "c", num(2), Timestamp::new(2, 0)));
         assert!(n.get_latest("r", "c").is_none());
         assert!(n.scan_prefix("").is_empty());
         assert!(n.modified_since(Timestamp::ZERO).is_empty());
         n.set_up(true);
-        assert_eq!(n.get_latest("r", "c").unwrap().value, json!(1));
+        assert_eq!(n.get_latest("r", "c").unwrap().value, num(1));
+    }
+
+    #[test]
+    fn apply_runs_every_op_kind_and_nothing_while_down() {
+        let n = node();
+        let put = |ts: u64| JournalOp::Put {
+            row_key: "r".into(),
+            column: "c".into(),
+            value: num(ts as u32),
+            timestamp: Timestamp::new(ts, 0),
+        };
+        assert_eq!(n.apply(&put(1)), Some(Vec::new()));
+        assert_eq!(n.apply(&put(2)), Some(Vec::new()));
+        let prune = JournalOp::Prune {
+            row_key: "r".into(),
+            column: "c".into(),
+        };
+        let removed = n.apply(&prune).unwrap();
+        assert_eq!(removed.len(), 1);
+        assert_eq!(removed[0].value, num(1));
+        n.set_up(false);
+        assert_eq!(
+            n.apply(&JournalOp::DeleteRow {
+                row_key: "r".into()
+            }),
+            None
+        );
+        n.set_up(true);
+        assert_eq!(n.get_latest("r", "c").unwrap().value, num(2));
+        let delete_column = JournalOp::DeleteColumn {
+            row_key: "r".into(),
+            column: "c".into(),
+        };
+        assert_eq!(n.apply(&delete_column), Some(Vec::new()));
+        assert!(n.get_latest("r", "c").is_none());
     }
 }

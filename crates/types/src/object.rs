@@ -11,12 +11,11 @@ use crate::md5;
 use crate::rules::StorageRule;
 use crate::size::ByteSize;
 use crate::time::SimTime;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The user-visible identity of an object: a container name and a key.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ObjectKey {
     /// Container (bucket) name.
     pub container: String,
@@ -54,24 +53,6 @@ impl fmt::Display for ObjectKey {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ObjectVersionId(pub u128);
 
-impl serde::Serialize for ObjectVersionId {
-    fn serialize(&self) -> serde::Value {
-        // JSON numbers cannot hold 128 bits; serialise as a hex string.
-        serde::Value::String(self.to_hex())
-    }
-}
-
-impl serde::Deserialize for ObjectVersionId {
-    fn deserialize(value: &serde::Value) -> Result<Self, serde::Error> {
-        let hex = value
-            .as_str()
-            .ok_or_else(|| serde::Error::custom("expected hex string version id"))?;
-        u128::from_str_radix(hex, 16)
-            .map(ObjectVersionId)
-            .map_err(serde::Error::custom)
-    }
-}
-
 static VERSION_COUNTER: AtomicU64 = AtomicU64::new(1);
 
 impl ObjectVersionId {
@@ -108,7 +89,7 @@ impl fmt::Display for ObjectVersionId {
 }
 
 /// Location of one erasure-coded chunk: which provider holds which index.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ChunkLocation {
     /// Index of the chunk within the erasure coding (0-based).
     pub index: u32,
@@ -121,7 +102,7 @@ pub struct ChunkLocation {
 /// Each stripe is erasure-coded independently (its own `m`-of-`n` chunk set,
 /// possibly degraded), so the write pipeline can land, repair and range-read
 /// stripes without touching the rest of the object.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StripeMeta {
     /// Chunk locations of this stripe, one per provider in its chosen set.
     pub chunks: Vec<ChunkLocation>,
@@ -177,7 +158,7 @@ impl StripeMeta {
 /// streamed in stripes stores stripe `i` at `{skey}.s{i}.{index}` (salted
 /// `.r{attempt}` on retried landings). Metadata lives only as long as the
 /// process that wrote it, so there is no older on-disk shape to read.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StripingMeta {
     /// Storage key `MD5(container | key | UUID)` of the object version.
     pub skey: String,
@@ -249,7 +230,7 @@ impl StripingMeta {
 }
 
 /// File-level metadata of an object version (Fig. 11).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ObjectMeta {
     /// The user-visible key.
     pub key: ObjectKey,
@@ -276,6 +257,46 @@ impl ObjectMeta {
     /// The metadata row key of the object.
     pub fn row_key(&self) -> String {
         self.key.row_key()
+    }
+}
+
+/// The durability debt of a degraded write: `have` of the `want` chunks it
+/// set out to store landed. Committed next to the metadata version it
+/// belongs to; a later full-width commit settles it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DurabilityDebt {
+    /// Chunks that landed.
+    pub have: u64,
+    /// Chunks the placement called for.
+    pub want: u64,
+}
+
+/// One entry of the persistent repair queue: an object that needs its
+/// durability restored, with its retry state.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RepairQueueEntry {
+    /// The object needing repair.
+    pub key: ObjectKey,
+    /// Why it was queued (`"provider-outage"`, `"degraded-write"`, …).
+    pub reason: String,
+    /// Failed attempts so far.
+    pub attempts: u32,
+    /// Simulation second before which the entry must not be retried.
+    pub not_before_secs: u64,
+    /// Dead-lettered: no longer retried, surfaced in every drain report.
+    pub dead: bool,
+}
+
+impl RepairQueueEntry {
+    /// A fresh entry: no failed attempts, due immediately.
+    pub fn new(key: ObjectKey, reason: impl Into<String>) -> Self {
+        RepairQueueEntry {
+            key,
+            reason: reason.into(),
+            attempts: 0,
+            not_before_secs: 0,
+            dead: false,
+        }
     }
 }
 
@@ -423,15 +444,6 @@ mod tests {
         assert_eq!(meta.covering(100, 140), 1..2);
         assert_eq!(meta.covering(140, 200), 0..0);
         assert_eq!(meta.covering(50, 50), 0..0);
-    }
-
-    #[test]
-    fn striped_meta_round_trips() {
-        let meta = sample_striped();
-        let value = serde::Serialize::serialize(&meta);
-        assert!(value.get("stripes").is_some());
-        let back = <StripingMeta as serde::Deserialize>::deserialize(&value).unwrap();
-        assert_eq!(back, meta);
     }
 
     #[test]

@@ -118,7 +118,7 @@ fn latest_meta(infra: &Infrastructure, key: &ObjectKey) -> Option<ObjectMeta> {
     infra
         .database()
         .get_latest(DatacenterId::new(0), &key.row_key(), "meta")
-        .and_then(|cell| serde_json::from_value::<ObjectMeta>(cell.value).ok())
+        .and_then(|cell| cell.value.as_meta().map(|meta| ObjectMeta::clone(meta)))
 }
 
 /// Whether `key` currently carries a durability-debt column.
